@@ -11,13 +11,16 @@
 //! * [`simplex`] — a two-phase, bounded-variable *revised* primal simplex
 //!   with a dense maintained basis inverse; Dantzig pricing with a Bland
 //!   anti-cycling fallback.
-//! * [`milp`] — branch-and-bound over the simplex relaxation:
-//!   most-fractional branching, depth-first traversal with best-bound
-//!   pruning, warm incumbents (RAHTM seeds one from simulated annealing),
-//!   and deterministic node budgets in place of wall-clock limits. With an
-//!   exhausted budget the solver returns the best incumbent — exactly how
-//!   practitioners run CPLEX on hard instances (the paper's solves took up
-//!   to 35 hours; ours are budgeted to keep the test suite fast).
+//! * [`milp`] — one branch-and-bound search over the simplex relaxation:
+//!   work-stealing workers (one on the calling thread by default), each
+//!   node's LP warm-started from its parent's basis by a dual-simplex
+//!   repair, most-fractional branching, depth-first local traversal with
+//!   best-bound pruning, and warm incumbents (RAHTM seeds one from
+//!   simulated annealing). Node budgets and wall-clock deadlines return
+//!   the best incumbent — exactly how practitioners run CPLEX on hard
+//!   instances (the paper's solves took up to 35 hours; ours are budgeted
+//!   to keep the test suite fast). The optimum is bit-identical for any
+//!   worker count.
 //!
 //! The solver is deliberately scoped to RAHTM's problem sizes (hundreds to
 //! a few thousand rows); it favours clarity and correctness over
@@ -30,12 +33,10 @@
 
 pub mod deadline;
 pub mod milp;
-pub mod parallel;
 pub mod problem;
 pub mod simplex;
 
 pub use deadline::Deadline;
 pub use milp::{solve_milp, MilpOptions, MilpResult, MilpStatus};
-pub use parallel::solve_milp_parallel;
 pub use problem::{Col, Problem, Row, Sense};
 pub use simplex::{solve_lp, BasisSnapshot, LpStatus, SimplexOptions, SimplexScratch, Solution};

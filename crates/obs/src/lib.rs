@@ -78,10 +78,6 @@ pub mod counters {
     pub const STENCIL_MISSES: &str = "route.stencil.misses";
     /// Distinct stencils resident in the cache at report time.
     pub const STENCIL_ENTRIES: &str = "route.stencil.entries";
-    /// Branch-and-bound nodes explored by the parallel MILP search.
-    pub const MILP_NODES: &str = "milp.nodes";
-    /// Nodes acquired by stealing from a sibling worker's deque.
-    pub const MILP_STEALS: &str = "milp.steals";
     /// Times the shared incumbent was improved (or tie-broken) by a worker.
     pub const MILP_INCUMBENT_UPDATES: &str = "milp.incumbent_updates";
     /// Placement columns fixed to zero by hypercube symmetry breaking.
