@@ -10,6 +10,11 @@
 //! When the required volume admits no rectangular factorization of the
 //! grid (irregular rank counts), we fall back to contiguous rank chunks,
 //! which preserves the dominant locality of rank-ordered applications.
+//!
+//! [`partition`] chains the levels over a list of per-level volumes (the
+//! concentration, then each level's fan-out) and numbers the leaves
+//! mixed-radix. The torus hierarchy ([`build_hierarchy_with`]) and the
+//! fat-tree and dragonfly mappers are all one call to it.
 
 use rahtm_commgraph::contract::{contract, Contraction};
 use rahtm_commgraph::{CommGraph, Rank, RankGrid};
@@ -125,25 +130,70 @@ pub fn cluster_level_with(
     }
 }
 
+/// A recursive partition of the ranks: the chained levels and the leaf
+/// number of every rank.
+#[derive(Clone, Debug)]
+pub struct Partition {
+    /// Levels ordered **fine to coarse**: `levels[0]` groups the ranks by
+    /// `volumes[0]`, `levels[k]` groups the level-`k−1` clusters by
+    /// `volumes[k]`.
+    pub levels: Vec<LevelClustering>,
+    /// rank → leaf (level-0 cluster) number, mixed-radix over the levels:
+    /// two ranks share a level-`k` cluster exactly when their leaf numbers
+    /// agree after dividing by `volumes[1] · … · volumes[k]`.
+    pub leaf_of: Vec<u32>,
+}
+
+/// Partitions `graph` level by level, one [`cluster_level_with`] per entry
+/// of `volumes` (the concentration first, then each level's fan-out), and
+/// numbers the leaves mixed-radix: a top cluster keeps its id, and each
+/// cluster's children take consecutive slots in cluster-id order. On a
+/// machine whose sibling subtrees are interchangeable (fat-tree, dragonfly)
+/// that numbering is the whole mapping.
+///
+/// # Panics
+/// Panics if `volumes` is empty or a volume does not divide the cluster
+/// count of the level below.
+pub fn partition(graph: &CommGraph, grid: &RankGrid, volumes: &[u32], search: bool) -> Partition {
+    assert!(!volumes.is_empty(), "a partition needs at least one level");
+    let mut levels: Vec<LevelClustering> = Vec::with_capacity(volumes.len());
+    for &volume in volumes {
+        let (g, gr) = levels
+            .last()
+            .map_or((graph, grid), |l| (&l.coarse_graph, &l.coarse_grid));
+        let lvl = cluster_level_with(g, gr, volume, search);
+        levels.push(lvl);
+    }
+    let mut number: Vec<u32> = (0..levels[levels.len() - 1].coarse_graph.num_ranks()).collect();
+    for k in (1..levels.len()).rev() {
+        let mut next_slot = vec![0u32; number.len()];
+        number = levels[k]
+            .assignment
+            .iter()
+            .map(|&parent| {
+                let slot = next_slot[parent as usize];
+                next_slot[parent as usize] += 1;
+                number[parent as usize] * volumes[k] + slot
+            })
+            .collect();
+    }
+    let leaf_of = levels[0]
+        .assignment
+        .iter()
+        .map(|&c| number[c as usize])
+        .collect();
+    Partition { levels, leaf_of }
+}
+
 /// Builds the full clustering hierarchy for RAHTM: first absorb the
 /// concentration factor (`concentration` ranks per node-cluster), then
-/// repeatedly cluster by `2^n` until `leaf_count` clusters remain.
+/// repeatedly cluster by `branching` until `root_count` clusters remain —
+/// one [`partition`] over that volume list. `search = false` disables the
+/// tile-shape search (see [`cluster_level_with`]).
 ///
 /// Returns levels ordered **coarse to fine**: `levels[0]` contracts to the
 /// root cluster count, `levels.last()` is the concentration clustering of
 /// the original ranks.
-pub fn build_hierarchy(
-    graph: &CommGraph,
-    grid: &RankGrid,
-    concentration: u32,
-    branching: u32,
-    root_count: u32,
-) -> Vec<LevelClustering> {
-    build_hierarchy_with(graph, grid, concentration, branching, root_count, true)
-}
-
-/// [`build_hierarchy`] with the tile-shape search optionally disabled
-/// (see [`cluster_level_with`]).
 pub fn build_hierarchy_with(
     graph: &CommGraph,
     grid: &RankGrid,
@@ -153,24 +203,20 @@ pub fn build_hierarchy_with(
     search: bool,
 ) -> Vec<LevelClustering> {
     assert!(branching >= 2);
-    let mut levels_fine_to_coarse = Vec::new();
-    let base = cluster_level_with(graph, grid, concentration, search);
-    let mut cur_graph = base.coarse_graph.clone();
-    let mut cur_grid = base.coarse_grid.clone();
-    levels_fine_to_coarse.push(base);
-    while cur_graph.num_ranks() > root_count {
+    let mut volumes = vec![concentration];
+    let mut count = graph.num_ranks() / concentration;
+    while count > root_count {
         assert!(
-            cur_graph.num_ranks().is_multiple_of(branching),
+            count.is_multiple_of(branching),
             "hierarchy requires cluster counts divisible by 2^n"
         );
-        let lvl = cluster_level_with(&cur_graph, &cur_grid, branching, search);
-        cur_graph = lvl.coarse_graph.clone();
-        cur_grid = lvl.coarse_grid.clone();
-        levels_fine_to_coarse.push(lvl);
+        volumes.push(branching);
+        count /= branching;
     }
-    assert_eq!(cur_graph.num_ranks(), root_count);
-    levels_fine_to_coarse.reverse();
-    levels_fine_to_coarse
+    assert_eq!(count, root_count);
+    let mut levels = partition(graph, grid, &volumes, search).levels;
+    levels.reverse();
+    levels
 }
 
 #[cfg(test)]
@@ -273,7 +319,7 @@ mod tests {
         // root 4: levels = [16->4, 64->16 (conc)] coarse-to-fine
         let g = patterns::halo_2d(8, 8, 1.0, true);
         let grid = RankGrid::new(&[8, 8]);
-        let levels = build_hierarchy(&g, &grid, 4, 4, 4);
+        let levels = build_hierarchy_with(&g, &grid, 4, 4, 4, true);
         assert_eq!(levels.len(), 2);
         assert_eq!(levels[0].coarse_graph.num_ranks(), 4);
         assert_eq!(levels[1].coarse_graph.num_ranks(), 16);
@@ -292,7 +338,7 @@ mod tests {
         // the MILP phase depends on it
         let g = patterns::halo_2d(8, 8, 1.0, true);
         let grid = RankGrid::new(&[8, 8]);
-        let levels = build_hierarchy(&g, &grid, 1, 4, 4);
+        let levels = build_hierarchy_with(&g, &grid, 1, 4, 4, true);
         for lvl in &levels {
             let mut counts = std::collections::HashMap::new();
             for &c in &lvl.assignment {
@@ -322,10 +368,91 @@ mod tests {
     fn hierarchy_without_concentration() {
         let g = patterns::halo_2d(4, 4, 1.0, true);
         let grid = RankGrid::new(&[4, 4]);
-        let levels = build_hierarchy(&g, &grid, 1, 4, 4);
+        let levels = build_hierarchy_with(&g, &grid, 1, 4, 4, true);
         assert_eq!(levels.len(), 2);
         assert_eq!(levels[0].coarse_graph.num_ranks(), 4);
         assert_eq!(levels[1].coarse_graph.num_ranks(), 16);
+    }
+
+    mod property {
+        use super::*;
+        use proptest::prelude::*;
+        use rahtm_commgraph::contract::compose_assignments;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        /// A random volume list for `n` ranks: any divisor of `n` as the
+        /// leaf volume, then fan-outs ≥ 2 that divide the clusters left.
+        fn volume_list(n: u32, seed: u64) -> Vec<u32> {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut volumes = Vec::new();
+            let mut left = n;
+            loop {
+                let min = if volumes.is_empty() { 1 } else { 2 };
+                let choices: Vec<u32> = (min..=left).filter(|v| left.is_multiple_of(*v)).collect();
+                if choices.is_empty() {
+                    return volumes;
+                }
+                let v = choices[rng.gen_range(0..choices.len())];
+                volumes.push(v);
+                left /= v;
+                if rng.gen_range(0..4) == 0 {
+                    return volumes;
+                }
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            /// Every leaf holds `volumes[0]` ranks, and two ranks share a
+            /// level-`k` cluster exactly when their leaf numbers agree
+            /// after dividing by `volumes[1] · … · volumes[k]` — the
+            /// contiguity `FatTree::subtree_of` and the dragonfly's
+            /// router/group arithmetic read placements by.
+            #[test]
+            fn partition_numbers_leaves_contiguously(
+                rows in prop::sample::select(vec![1u32, 2, 3, 4, 6, 8]),
+                cols in prop::sample::select(vec![2u32, 3, 4, 6, 8]),
+                graph_seed in 0u64..1000,
+                volume_seed in 0u64..1000,
+                search in prop::sample::select(vec![true, false]),
+            ) {
+                let n = rows * cols;
+                let g = patterns::random(n, 3 * n as usize, 1.0, 50.0, graph_seed);
+                let grid = RankGrid::new(&[rows, cols]);
+                let volumes = volume_list(n, volume_seed);
+                let p = partition(&g, &grid, &volumes, search);
+                prop_assert_eq!(p.levels.len(), volumes.len());
+
+                let num_leaves = n / volumes[0];
+                let mut per_leaf = vec![0u32; num_leaves as usize];
+                for &l in &p.leaf_of {
+                    prop_assert!(l < num_leaves, "leaf {} of {}", l, num_leaves);
+                    per_leaf[l as usize] += 1;
+                }
+                prop_assert!(per_leaf.iter().all(|&c| c == volumes[0]), "{:?}", per_leaf);
+
+                let mut cluster_of = p.levels[0].assignment.clone();
+                let mut span = 1u32;
+                for k in 0..volumes.len() {
+                    if k > 0 {
+                        cluster_of = compose_assignments(&cluster_of, &p.levels[k].assignment);
+                        span *= volumes[k];
+                    }
+                    for a in 0..n as usize {
+                        for b in 0..n as usize {
+                            let same_cluster = cluster_of[a] == cluster_of[b];
+                            let same_prefix = p.leaf_of[a] / span == p.leaf_of[b] / span;
+                            prop_assert!(
+                                same_cluster == same_prefix,
+                                "level {} ranks {} {} volumes {:?}", k, a, b, volumes
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     use rahtm_commgraph::CommGraph;

@@ -11,13 +11,16 @@
 //! direct intra-group traffic and the gateway detours of inter-group
 //! traffic, so partition quality at one level interacts with the level
 //! above — exactly the coupling the phase-1 tiling search navigates.
+//! [`dragonfly_map`] is one [`partition`] call over `[concentration, p,
+//! a]`; this module adds only the machine and its load model
+//! ([`Dragonfly::mcl`]).
 //!
 //! Routing model: minimal dragonfly routing with ECMP over gateways
 //! (every router has `h` global links; an inter-group flow picks a
 //! uniform-random gateway router pair, giving exact per-link expected
 //! loads — the dragonfly analogue of the paper's MAR approximation).
 
-use crate::cluster::cluster_level;
+use crate::cluster::partition;
 use rahtm_commgraph::{CommGraph, RankGrid};
 
 /// A canonical dragonfly machine.
@@ -167,8 +170,11 @@ pub struct DragonflyMapping {
 }
 
 /// RAHTM-for-dragonflies: recursive partition (ranks → nodes → routers →
-/// groups) by the phase-1 tiling search. All three machine levels are
-/// vertex-symmetric, so the partition is the mapping (no orientations).
+/// groups) by the phase-1 tiling search — one [`partition`] over the
+/// volumes `[concentration, p, a]`. All three machine levels are
+/// vertex-symmetric, so the partition is the mapping (no orientations):
+/// its mixed-radix leaf numbers are node ids, with each group's routers
+/// and each router's nodes in cluster-id order.
 ///
 /// # Panics
 /// Panics unless the rank count fills the machine uniformly.
@@ -176,68 +182,9 @@ pub fn dragonfly_map(df: &Dragonfly, graph: &CommGraph, grid: &RankGrid) -> Drag
     let r = graph.num_ranks();
     let n = df.num_nodes();
     assert!(r >= n && r.is_multiple_of(n), "ranks must fill nodes");
-    let conc = r / n;
     assert_eq!(grid.num_ranks(), r);
-
-    // ranks -> nodes
-    let lvl_node = cluster_level(graph, grid, conc);
-    // nodes -> routers
-    let lvl_router = cluster_level(
-        &lvl_node.coarse_graph,
-        &lvl_node.coarse_grid,
-        df.nodes_per_router,
-    );
-    // routers -> groups
-    let lvl_group = cluster_level(
-        &lvl_router.coarse_graph,
-        &lvl_router.coarse_grid,
-        df.routers_per_group,
-    );
-
-    // compose: rank -> node cluster -> router cluster -> group cluster
-    let rank_to_node_cl = &lvl_node.assignment;
-    let node_cl_to_router = &lvl_router.assignment;
-    let router_to_group = &lvl_group.assignment;
-
-    // Assign physical ids: groups in cluster order, routers within each
-    // group in cluster order, nodes within each router in cluster order —
-    // all levels symmetric, so any consistent numbering is optimal for the
-    // chosen partition.
-    // physical router id for each router cluster:
-    let num_routers = (df.routers_per_group * df.num_groups) as usize;
-    let mut router_phys = vec![u32::MAX; num_routers];
-    {
-        let mut next_in_group = vec![0u32; df.num_groups as usize];
-        for rc in 0..num_routers as u32 {
-            let grp = router_to_group[rc as usize];
-            let slot = next_in_group[grp as usize];
-            assert!(
-                slot < df.routers_per_group,
-                "group {grp} over-filled (partition must be balanced)"
-            );
-            router_phys[rc as usize] = grp * df.routers_per_group + slot;
-            next_in_group[grp as usize] = slot + 1;
-        }
-    }
-    // physical node id for each node cluster:
-    let mut node_phys = vec![u32::MAX; n as usize];
-    {
-        let mut next_on_router = vec![0u32; num_routers];
-        for nc in 0..n {
-            let rc = node_cl_to_router[nc as usize];
-            let slot = next_on_router[rc as usize];
-            assert!(
-                slot < df.nodes_per_router,
-                "router cluster {rc} over-filled"
-            );
-            node_phys[nc as usize] = router_phys[rc as usize] * df.nodes_per_router + slot;
-            next_on_router[rc as usize] = slot + 1;
-        }
-    }
-    let node_of: Vec<u32> = rank_to_node_cl
-        .iter()
-        .map(|&nc| node_phys[nc as usize])
-        .collect();
+    let volumes = [r / n, df.nodes_per_router, df.routers_per_group];
+    let node_of = partition(graph, grid, &volumes, true).leaf_of;
     let mcl = df.mcl(graph, &node_of);
     DragonflyMapping { node_of, mcl }
 }
@@ -334,6 +281,39 @@ mod tests {
         let grid = RankGrid::new(&[2, 3]);
         let m = dragonfly_map(&df, &g, &grid);
         assert!((m.mcl - df.mcl(&g, &m.node_of)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn pinned_mappings() {
+        // pinned outputs: a change to the tiling search or to the order
+        // routers and nodes are numbered in shows up here
+        let g = patterns::random(64, 300, 1.0, 50.0, 3);
+        let m = dragonfly_map(&Dragonfly::balanced(4, 4), &g, &RankGrid::new(&[8, 8]));
+        #[rustfmt::skip]
+        let expected: [u32; 64] = [
+            0, 1, 2, 3, 4, 5, 6, 7, 0, 1, 2, 3, 4, 5, 6, 7,
+            8, 9, 10, 11, 12, 13, 14, 15, 8, 9, 10, 11, 12, 13, 14, 15,
+            16, 17, 18, 19, 20, 21, 22, 23, 16, 17, 18, 19, 20, 21, 22, 23,
+            24, 25, 26, 27, 28, 29, 30, 31, 24, 25, 26, 27, 28, 29, 30, 31,
+        ];
+        assert_eq!(m.node_of, expected);
+        assert_eq!(m.mcl, 462.55380484251464);
+
+        let g = patterns::random(96, 400, 1.0, 50.0, 5);
+        let m = dragonfly_map(&Dragonfly::balanced(2, 8), &g, &RankGrid::new(&[8, 12]));
+        #[rustfmt::skip]
+        let expected: [u32; 96] = [
+            0, 0, 0, 2, 2, 2, 4, 4, 4, 6, 6, 6,
+            0, 0, 0, 2, 2, 2, 4, 4, 4, 6, 6, 6,
+            1, 1, 1, 3, 3, 3, 5, 5, 5, 7, 7, 7,
+            1, 1, 1, 3, 3, 3, 5, 5, 5, 7, 7, 7,
+            8, 8, 8, 10, 10, 10, 12, 12, 12, 14, 14, 14,
+            8, 8, 8, 10, 10, 10, 12, 12, 12, 14, 14, 14,
+            9, 9, 9, 11, 11, 11, 13, 13, 13, 15, 15, 15,
+            9, 9, 9, 11, 11, 11, 13, 13, 13, 15, 15, 15,
+        ];
+        assert_eq!(m.node_of, expected);
+        assert_eq!(m.mcl, 1165.7450747845335);
     }
 
     use rahtm_commgraph::CommGraph;

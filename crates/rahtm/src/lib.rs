@@ -28,7 +28,9 @@
 //! [`refine`] (a post-pipeline swap polish, off by default), and
 //! [`fattree`] / [`dragonfly`] (the algorithm on the other topologies §VI
 //! names, where vertex symmetry collapses the orientation search into
-//! recursive partitioning). The collective-communication extension lives
+//! recursive partitioning: both mappers are one [`cluster::partition`]
+//! call plus the machine's own load model). The collective-communication
+//! extension lives
 //! in `rahtm_commgraph::collectives`.
 
 #![forbid(unsafe_code)]

@@ -23,7 +23,6 @@ use crate::error::RahtmError;
 use rahtm_commgraph::CommGraph;
 use rahtm_lp::{solve_milp, Col, MilpOptions, MilpStatus, Problem, Sense};
 use rahtm_obs::counters;
-use rahtm_routing::{route_graph, ChannelLoads, Routing};
 use rahtm_topology::{Channel, Coord, Direction, NodeId, Orientation, Torus};
 
 /// Options for a Table II solve.
@@ -239,7 +238,7 @@ pub fn milp_map(
             None => inc.clone(),
         };
         if let Some(x) =
-            expand_incumbent(cube, graph, &channels, &p, &g, &f, &r, z, &inc, opts)
+            expand_incumbent(cube, graph, &channels, &p, &g, &f, &r, z, &inc)
         {
             milp_opts.initial_incumbent = Some(x);
         }
@@ -274,7 +273,7 @@ pub fn milp_map(
             None => (0..a as NodeId).collect(),
         };
         if let Some(x) =
-            expand_incumbent(cube, graph, &channels, &p, &g, &f, &r, z, &fallback, opts)
+            expand_incumbent(cube, graph, &channels, &p, &g, &f, &r, z, &fallback)
         {
             milp_opts.initial_incumbent = Some(x);
         }
@@ -484,7 +483,6 @@ fn expand_incumbent(
     r: &[Vec<Col>],
     z: Col,
     placement: &[NodeId],
-    opts: &MilpMapOptions,
 ) -> Option<Vec<f64>> {
     let mut x = vec![0.0; p.num_cols()];
     for (ai, &vi) in placement.iter().enumerate() {
@@ -522,29 +520,9 @@ fn expand_incumbent(
     x[z.index()] = zval;
     // The pin from symmetry breaking may contradict the incumbent.
     if !p.is_feasible(&x, 1e-6) || !p.is_integral(&x, 1e-6) {
-        let _ = opts;
         return None;
     }
     Some(x)
-}
-
-/// Convenience: evaluates a placement's MCL under a concrete oblivious
-/// routing model (for comparing MILP output against heuristics).
-pub fn placement_mcl(cube: &Torus, graph: &CommGraph, placement: &[NodeId], routing: Routing) -> f64 {
-    let loads: ChannelLoads = route_graph(cube, graph, placement, routing);
-    loads.mcl(cube)
-}
-
-/// [`placement_mcl`] through a shared routing-stencil cache — bit-identical
-/// value, amortized routing cost across repeated incumbent comparisons.
-pub fn placement_mcl_cached(
-    cube: &Torus,
-    graph: &CommGraph,
-    placement: &[NodeId],
-    routing: Routing,
-    stencils: &rahtm_routing::RouteStencilCache,
-) -> f64 {
-    stencils.route_graph(cube, graph, placement, routing).mcl(cube)
 }
 
 #[cfg(test)]

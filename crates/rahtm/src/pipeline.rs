@@ -28,7 +28,7 @@ use crate::error::{panic_message, RahtmError};
 use crate::fault::{Fault, FaultPlan};
 use crate::mapping::TaskMapping;
 use crate::merge::{merge_blocks, MergeOptions, PositionedBlock};
-use crate::milp::{milp_map, placement_mcl_cached, MilpMapOptions};
+use crate::milp::{milp_map, MilpMapOptions};
 use rahtm_commgraph::{CommGraph, Rank, RankGrid};
 use rahtm_lp::{Deadline, MilpOptions, SimplexOptions};
 use rahtm_obs::{counters, gauges, spans, Journal, Recorder};
@@ -713,9 +713,6 @@ impl RahtmMapper {
                         c.set(d, pin[i][parent as usize].get(d) * 2 + v.get(d));
                     }
                     // inactive dims stay 0
-                    for &d in active.iter() {
-                        let _ = d;
-                    }
                     pin_next[child as usize] = c;
                 }
             }
@@ -726,8 +723,7 @@ impl RahtmMapper {
         self.recorder.record_span_secs(spans::MILP, milp_secs);
 
         // pin.last(): node coordinates (slice-relative) of every slice
-        // cluster (local ids). Wait: for active dims these are 0..side-1;
-        // inactive dims 0.
+        // cluster (local ids): 0..side-1 on active dims, 0 on inactive ones.
 
         // ---- Phase 3: bottom-up merge ----
         let t2 = Instant::now();
@@ -997,8 +993,9 @@ impl RahtmMapper {
                     // Keep whichever is better under the oblivious scoring
                     // model (the MILP optimizes the LP split, SA the
                     // uniform split).
-                    let milp_mcl =
-                        placement_mcl_cached(cube, graph, &res.placement, cfg.routing, stencils);
+                    let milp_mcl = stencils
+                        .route_graph(cube, graph, &res.placement, cfg.routing)
+                        .mcl(cube);
                     if milp_mcl <= sa.mcl + 1e-9 {
                         res.placement
                     } else {

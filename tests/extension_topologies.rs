@@ -100,3 +100,23 @@ fn fattree_mapper_prefers_local_subtrees_strictly() {
     let d = tree.mcl(&g, &fattree_default(&tree, 16));
     assert!(m.mcl <= d + 1e-9);
 }
+
+#[test]
+fn fattree_mapper_scales_to_16k_ranks() {
+    // the paper's 16K-rank scale on a 1024-leaf full-bisection tree
+    // (conc 16): each level is one tiling search plus a linear numbering
+    // pass, so this runs in milliseconds
+    let g = patterns::halo_2d(128, 128, 1.0, true);
+    let grid = RankGrid::new(&[128, 128]);
+    let tree = FatTree::full_bisection(&[4, 4, 4, 4, 4]);
+    let m = fattree_map(&tree, &g, &grid);
+    let mut per_leaf = vec![0u32; tree.num_leaves() as usize];
+    for &l in &m.leaf_of {
+        per_leaf[l as usize] += 1;
+    }
+    assert!(per_leaf.iter().all(|&c| c == 16));
+    // square tiles at every level; the worst is an 8×8 level-0 subtree:
+    // 32 boundary bytes over 4 up-links
+    assert_eq!(m.mcl, 8.0);
+    assert!(m.mcl < tree.mcl(&g, &fattree_default(&tree, 16384)));
+}
