@@ -54,31 +54,6 @@ fn bench_beam_width(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_rotation_set(c: &mut Criterion) {
-    let (topo, g, children) = quad_children(10);
-    let mut group = c.benchmark_group("merge/rotation_set");
-    for (name, proper_only) in [("full_group", false), ("proper_only", true)] {
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                black_box(merge_blocks(
-                    &topo,
-                    &g,
-                    black_box(&children),
-                    &Coord::new(&[0, 0]),
-                    &Coord::new(&[4, 4]),
-                    &MergeOptions {
-                        beam_width: 64,
-                        routing: Routing::UniformMinimal,
-                        proper_rotations_only: proper_only,
-                        ..Default::default()
-                    },
-                ))
-            })
-        });
-    }
-    group.finish();
-}
-
 /// Scoring-model ablation: DOR vs the MAR approximation inside the merge.
 fn bench_scoring_model(c: &mut Criterion) {
     let (topo, g, children) = quad_children(11);
@@ -153,7 +128,6 @@ fn bench_stencil_sharing(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_beam_width,
-    bench_rotation_set,
     bench_scoring_model,
     bench_stencil_sharing
 );

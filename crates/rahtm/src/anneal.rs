@@ -110,14 +110,7 @@ pub fn anneal_map(cube: &Torus, graph: &CommGraph, opts: &AnnealOptions) -> Anne
     // incident to the two swapped vertices (O(degree), not O(flows)),
     // bit-identical to re-routing the whole graph from scratch.
     let mut inc = IncrementalLoads::new(cube, graph, &placement, opts.routing, stencils);
-    let mut flows_of_cluster: Vec<Vec<u32>> = vec![Vec::new(); a];
-    for (i, f) in graph.flows().iter().enumerate() {
-        if f.src == f.dst {
-            continue; // self-flows never load a channel
-        }
-        flows_of_cluster[f.src as usize].push(i as u32);
-        flows_of_cluster[f.dst as usize].push(i as u32);
-    }
+    let mut stager = SwapStager::new(cube, graph, opts.routing, stencils);
     let mut cur = inc.mcl();
     let mut best = cur;
     let mut best_placement = placement.clone();
@@ -140,7 +133,6 @@ pub fn anneal_map(cube: &Torus, graph: &CommGraph, opts: &AnnealOptions) -> Anne
     let mut done = 0usize;
     let mut accepted = 0usize;
     let mut rejected = 0usize;
-    let mut touched: Vec<u32> = Vec::new();
     for it in 0..opts.iterations {
         if it.is_multiple_of(DEADLINE_CHECK_EVERY) && opts.deadline.is_expired() {
             break;
@@ -165,57 +157,9 @@ pub fn anneal_map(cube: &Torus, graph: &CommGraph, opts: &AnnealOptions) -> Anne
         if let Some(c) = contents[vb] {
             placement[c as usize] = vb as NodeId;
         }
-        // sorted union of the two moved clusters' incident flows
-        touched.clear();
-        {
-            let la: &[u32] = contents[va]
-                .map(|c| flows_of_cluster[c as usize].as_slice())
-                .unwrap_or(&[]);
-            let lb: &[u32] = contents[vb]
-                .map(|c| flows_of_cluster[c as usize].as_slice())
-                .unwrap_or(&[]);
-            let (mut i, mut j) = (0usize, 0usize);
-            while i < la.len() || j < lb.len() {
-                match (la.get(i), lb.get(j)) {
-                    (Some(&x), Some(&y)) if x == y => {
-                        touched.push(x);
-                        i += 1;
-                        j += 1;
-                    }
-                    (Some(&x), Some(&y)) if x < y => {
-                        touched.push(x);
-                        i += 1;
-                    }
-                    (Some(_), Some(&y)) => {
-                        touched.push(y);
-                        j += 1;
-                    }
-                    (Some(&x), None) => {
-                        touched.push(x);
-                        i += 1;
-                    }
-                    (None, Some(&y)) => {
-                        touched.push(y);
-                        j += 1;
-                    }
-                    (None, None) => unreachable!(),
-                }
-            }
-        }
         // stage the re-routes: live state is untouched until commit, so a
         // reject needs no routing back
-        for &fi in &touched {
-            let f = &graph.flows()[fi as usize];
-            inc.stage_flow(
-                fi,
-                cube,
-                stencils,
-                opts.routing,
-                placement[f.src as usize],
-                placement[f.dst as usize],
-                f.bytes,
-            );
-        }
+        stager.stage(&mut inc, &placement, contents[va], contents[vb]);
         let cand = inc.staged_mcl();
         let accept = cand <= cur || {
             let p = ((cur - cand) / temp).exp();
@@ -253,6 +197,81 @@ pub fn anneal_map(cube: &Torus, graph: &CommGraph, opts: &AnnealOptions) -> Anne
         iterations: done,
         accepted,
         rejected,
+    }
+}
+
+/// Stages two-cluster swaps on [`IncrementalLoads`] for the annealer and
+/// the polish pass: after a swap, every flow incident to either cluster is
+/// re-routed, in ascending flow id order.
+pub(crate) struct SwapStager<'a> {
+    topo: &'a Torus,
+    graph: &'a CommGraph,
+    routing: Routing,
+    stencils: &'a RouteStencilCache,
+    /// Per cluster: ids of its non-self flows, ascending.
+    flows_of_cluster: Vec<Vec<u32>>,
+    /// Scratch: sorted union of the swapped clusters' flows.
+    touched: Vec<u32>,
+}
+
+impl<'a> SwapStager<'a> {
+    pub(crate) fn new(
+        topo: &'a Torus,
+        graph: &'a CommGraph,
+        routing: Routing,
+        stencils: &'a RouteStencilCache,
+    ) -> Self {
+        let mut flows_of_cluster: Vec<Vec<u32>> = vec![Vec::new(); graph.num_ranks() as usize];
+        for (i, f) in graph.flows().iter().enumerate() {
+            if f.src == f.dst {
+                continue; // self-flows never load a channel
+            }
+            flows_of_cluster[f.src as usize].push(i as u32);
+            flows_of_cluster[f.dst as usize].push(i as u32);
+        }
+        SwapStager {
+            topo,
+            graph,
+            routing,
+            stencils,
+            flows_of_cluster,
+            touched: Vec::new(),
+        }
+    }
+
+    /// Stages the re-route of every flow incident to cluster `a` or `b`
+    /// under the already-swapped `placement` (`None` is an empty vertex).
+    pub(crate) fn stage(
+        &mut self,
+        inc: &mut IncrementalLoads,
+        placement: &[NodeId],
+        a: Option<u32>,
+        b: Option<u32>,
+    ) {
+        let flows = |c: Option<u32>| c.map_or(&[][..], |c| &self.flows_of_cluster[c as usize][..]);
+        let (la, lb) = (flows(a), flows(b));
+        self.touched.clear();
+        let (mut i, mut j) = (0usize, 0usize);
+        while i < la.len() || j < lb.len() {
+            let x = la.get(i).copied().unwrap_or(u32::MAX);
+            let y = lb.get(j).copied().unwrap_or(u32::MAX);
+            let next = x.min(y);
+            self.touched.push(next);
+            i += usize::from(x == next);
+            j += usize::from(y == next);
+        }
+        for &fi in &self.touched {
+            let f = &self.graph.flows()[fi as usize];
+            inc.stage_flow(
+                fi,
+                self.topo,
+                self.stencils,
+                self.routing,
+                placement[f.src as usize],
+                placement[f.dst as usize],
+                f.bytes,
+            );
+        }
     }
 }
 

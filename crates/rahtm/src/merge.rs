@@ -1,20 +1,22 @@
 //! Phase 3: bottom-up merging by orientation beam search (§III-D).
 //!
-//! Solved child blocks are absorbed one at a time, in decreasing order of
-//! pairwise interaction (average pair MCL), trying every hyperoctahedral
-//! re-orientation of the incoming block against each of the best `N`
-//! partial merges retained so far. The first pair is special: both blocks'
-//! orientations are searched exhaustively, exactly as in the paper's
-//! walkthrough (Figure 7). `N` (the beam width) is the paper's key knob —
-//! it fixes `N = 64`; `N = 1` degenerates to the pure greedy the paper
-//! argues against, and the ablation bench sweeps it.
+//! The merge is one loop of identical beam steps. The beam starts as a
+//! single empty entry (nothing placed, no load). Step 0 places the first
+//! two children of the merge order together, searching both orientation
+//! sets exhaustively as in the paper's walkthrough (Figure 7); every later
+//! step places the next child, in decreasing order of pairwise interaction
+//! (average pair MCL). A step's candidates are every retained entry times
+//! every combination of the incoming children's hyperoctahedral
+//! re-orientations, and the best `N` survive. `N` (the beam width) is the
+//! paper's key knob — it fixes `N = 64`; `N = 1` degenerates to the pure
+//! greedy the paper argues against, and the ablation bench sweeps it.
 //!
 //! Evaluation is incremental: each beam entry carries its accumulated
 //! channel loads; a candidate's MCL is computed by routing only the flows
-//! *incident to the incoming block* into a scratch accumulator and taking
-//! the elementwise max against the entry's loads — no full re-routing.
-//! Positions are dense `Vec`s indexed by cluster id and the channel list
-//! is precomputed, keeping the per-candidate cost at
+//! *incident to the incoming children* into a scratch accumulator and
+//! taking the elementwise max against the entry's loads — no full
+//! re-routing. Positions are dense `Vec`s indexed by cluster id and the
+//! channel list is precomputed, keeping the per-candidate cost at
 //! `O(incident flows × path box + channels)`.
 
 use crate::block::Block;
@@ -23,6 +25,7 @@ use rahtm_lp::Deadline;
 use rahtm_obs::{counters, Recorder};
 use rahtm_routing::{ChannelLoads, RouteStencilCache, Routing};
 use rahtm_topology::{ChannelId, Coord, NodeId, Orientation, Torus};
+use std::panic::resume_unwind;
 use std::sync::Arc;
 
 const UNPLACED: NodeId = NodeId::MAX;
@@ -34,14 +37,13 @@ pub struct MergeOptions {
     pub beam_width: usize,
     /// Routing model used for MCL scoring (paper: the MAR approximation).
     pub routing: Routing,
-    /// Restrict the search to proper rotations (half the group). The paper
-    /// uses the full rotation/reflection set; this is an ablation knob.
-    pub proper_rotations_only: bool,
     /// Blocks with more members than this search only axis flips (identity
     /// permutation) instead of the full hyperoctahedral group. This bounds
     /// the cost of merging very large blocks — in practice only the final
-    /// machine-level merge of whole slices, where re-routing every flow
-    /// per candidate makes the full group intractable.
+    /// machine-level merge of whole slices, and only once a slice holds
+    /// more than 64 node-clusters (paper-16k's 256-member slices search the
+    /// 16 flips; mini-1k's 64-member slices still search all 48
+    /// orientations).
     pub full_group_member_limit: usize,
     /// Wall-clock budget: checked on entry and between beam steps. On
     /// expiry the search stops and any still-unplaced child keeps its
@@ -68,7 +70,6 @@ impl Default for MergeOptions {
         MergeOptions {
             beam_width: 64,
             routing: Routing::UniformMinimal,
-            proper_rotations_only: false,
             full_group_member_limit: 64,
             deadline: Deadline::never(),
             recorder: Recorder::disabled(),
@@ -175,9 +176,6 @@ pub fn merge_blocks(
             let mut os = Orientation::enumerate_for(extent);
             // dedupe: flipping an extent-1 output dimension is a no-op
             os.retain(|o| (0..o.ndims()).all(|d| extent.get(o.perm(d)) > 1 || !o.flipped(d)));
-            if opts.proper_rotations_only {
-                os.retain(|o| o.is_proper_rotation());
-            }
             if c.block.members.len() > opts.full_group_member_limit {
                 // large block: axis flips only (identity permutation)
                 os.retain(|o| (0..o.ndims()).all(|d| o.perm(d) == d));
@@ -232,192 +230,91 @@ pub fn merge_blocks(
     let mut candidates_evaluated = 0usize;
     let mut candidates_kept = 0usize;
     let mut deadline_polls = 1usize; // the entry check above
+    let mut deadline_hit = false;
     let mut node_of = vec![UNPLACED; nclusters];
     // Recycled accumulators for beam re-scoring: entries evicted from the
     // beam donate their allocation back instead of dropping it.
     let mut pool: Vec<ChannelLoads> = Vec::new();
+    let mut beam = vec![BeamEntry {
+        choices: vec![UNSET; children.len()],
+        loads: ChannelLoads::new(topo),
+        mcl: 0.0,
+    }];
+    let mut placed: Vec<usize> = Vec::new();
+    // placed ∪ incoming, per child
+    let mut in_scope = vec![false; children.len()];
 
-    // --- First pair: exhaustive over both orientation sets. ---
-    let (a, b) = (order[0], order[1]);
-    let pair_flows: Vec<&(Rank, Rank, f64)> = local_flows
-        .iter()
-        .filter(|&&(s, d, _)| {
-            let (cs, cd) = (child_of[s as usize], child_of[d as usize]);
-            (cs == a || cs == b) && (cd == a || cd == b)
-        })
-        .collect();
-    let mut beam: Vec<BeamEntry> = Vec::new();
-    {
-        // Exhaustive orientation pairs are embarrassingly parallel: chunk
-        // the outer orientations across crossbeam scoped threads (each
-        // with its own scratch accumulator), then sort deterministically.
-        let oa_count = orient_sets[a].len();
-        let n_threads = num_worker_threads(oa_count, opts.thread_cap);
-        let chunk = oa_count.div_ceil(n_threads);
-        let mut ranked: Vec<(f64, usize, usize)> = crossbeam::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for t in 0..n_threads {
-                let lo = t * chunk;
-                let hi = ((t + 1) * chunk).min(oa_count);
-                let positions = &positions;
-                let pair_flows = &pair_flows;
-                let chans = &chans;
-                let orient_sets = &orient_sets;
-                handles.push(scope.spawn(move |_| {
-                    let mut node_of = vec![UNPLACED; nclusters];
-                    let mut scratch = ChannelLoads::new(topo);
-                    let mut out = Vec::with_capacity((hi - lo) * orient_sets[b].len());
-                    for oa in lo..hi {
-                        for ob in 0..orient_sets[b].len() {
-                            for &(m, nd) in positions[a][oa].iter().chain(&positions[b][ob]) {
-                                node_of[m as usize] = nd;
-                            }
-                            scratch.clear();
-                            for &&(s, d, bytes) in pair_flows {
-                                stencils.route_flow(
-                                    topo,
-                                    opts.routing,
-                                    node_of[s as usize],
-                                    node_of[d as usize],
-                                    bytes,
-                                    &mut scratch,
-                                );
-                            }
-                            let mut mcl = 0.0f64;
-                            for &(id, w) in chans {
-                                let v = scratch.get(id) / w;
-                                if v > mcl {
-                                    mcl = v;
-                                }
-                            }
-                            out.push((mcl, oa, ob));
-                            for &(m, _) in positions[a][oa].iter().chain(&positions[b][ob]) {
-                                node_of[m as usize] = UNPLACED;
-                            }
-                        }
-                    }
-                    out
-                }));
+    // Step 0 places the first pair together; every later step one child.
+    let steps = std::iter::once(&order[..2]).chain(order[2..].chunks(1));
+    for (step, incoming) in steps.enumerate() {
+        // the entry check already covers step 0
+        if step > 0 {
+            deadline_polls += 1;
+            if opts.deadline.is_expired() {
+                // out of time: children not yet searched keep their
+                // identity orientation (filled in below)
+                deadline_hit = true;
+                break;
             }
-            handles
-                .into_iter()
-                .flat_map(|h| {
-                    h.join()
-                        .unwrap_or_else(|p| std::panic::resume_unwind(p))
-                })
-                .collect()
-        })
-        .unwrap_or_else(|p| std::panic::resume_unwind(p));
-        candidates_evaluated += ranked.len();
-        ranked.sort_by(|x, y| {
-            x.0.total_cmp(&y.0)
-                .then(x.1.cmp(&y.1))
-                .then(x.2.cmp(&y.2))
-        });
-        ranked.truncate(opts.beam_width.max(1));
-        for (_, oa, ob) in ranked {
-            let mut loads = match pool.pop() {
-                Some(mut l) => {
-                    l.clear();
-                    l
-                }
-                None => ChannelLoads::new(topo),
-            };
-            for &(m, nd) in positions[a][oa].iter().chain(&positions[b][ob]) {
-                node_of[m as usize] = nd;
-            }
-            for &&(s, d, bytes) in &pair_flows {
-                stencils.route_flow(
-                    topo,
-                    opts.routing,
-                    node_of[s as usize],
-                    node_of[d as usize],
-                    bytes,
-                    &mut loads,
-                );
-            }
-            for &(m, _) in positions[a][oa].iter().chain(&positions[b][ob]) {
-                node_of[m as usize] = UNPLACED;
-            }
-            let mcl = loads.mcl(topo);
-            let mut choices = vec![UNSET; children.len()];
-            choices[a] = oa;
-            choices[b] = ob;
-            beam.push(BeamEntry { choices, loads, mcl });
         }
-        candidates_kept += beam.len();
-    }
-
-    // --- Subsequent blocks: incoming orientations × beam entries. ---
-    let mut deadline_hit = false;
-    let mut placed: Vec<usize> = vec![a, b];
-    for &next in order.iter().skip(2) {
-        deadline_polls += 1;
-        if opts.deadline.is_expired() {
-            // out of time: children not yet searched keep their identity
-            // orientation (filled in below)
-            deadline_hit = true;
-            break;
+        for &c in incoming {
+            in_scope[c] = true;
         }
-        // flows incident to `next` with the other endpoint placed or
-        // internal to `next`
-        let placed_mask: Vec<bool> = {
-            let mut m = vec![false; children.len()];
-            for &p in &placed {
-                m[p] = true;
-            }
-            m
-        };
+        // flows with an endpoint in an incoming child and the other placed
+        // or incoming, in `local_flows` order
         let incident: Vec<&(Rank, Rank, f64)> = local_flows
             .iter()
             .filter(|&&(s, d, _)| {
-                let cs = child_of[s as usize];
-                let cd = child_of[d as usize];
-                (cs == next && (placed_mask[cd] || cd == next))
-                    || (cd == next && placed_mask[cs])
+                let (cs, cd) = (child_of[s as usize], child_of[d as usize]);
+                (incoming.contains(&cs) || incoming.contains(&cd)) && in_scope[cs] && in_scope[cd]
             })
             .collect();
-        // Parallelize over beam entries (each worker owns a scratch
-        // accumulator and a positions array), deterministic sort after.
-        let n_threads = num_worker_threads(beam.len(), opts.thread_cap);
-        let chunk = beam.len().div_ceil(n_threads);
+        let route = |node_of: &[NodeId], loads: &mut ChannelLoads| {
+            for &&(s, d, bytes) in &incident {
+                let (ns, nd) = (node_of[s as usize], node_of[d as usize]);
+                stencils.route_flow(topo, opts.routing, ns, nd, bytes, loads);
+            }
+        };
+
+        // Candidates are (entry, combo) with `combo` a row-major index into
+        // the product of the incoming orientation sets, flattened entry-major.
+        // Workers score contiguous runs of that index (each with its own
+        // scratch accumulator and positions array); the sort after makes
+        // the result independent of the split.
+        let combos: usize = incoming.iter().map(|&c| orient_sets[c].len()).product();
+        let total = beam.len() * combos;
+        let last_orients = orient_sets[incoming[incoming.len() - 1]].len();
+        let n_threads = crate::cores::workers_for(total / last_orients, opts.thread_cap);
+        let chunk = total.div_ceil(n_threads);
         let mut ranked: Vec<(f64, usize, usize)> = crossbeam::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for t in 0..n_threads {
-                let lo = t * chunk;
-                let hi = ((t + 1) * chunk).min(beam.len());
-                let beam = &beam;
-                let placed = &placed;
-                let positions = &positions;
-                let incident = &incident;
-                let chans = &chans;
-                let orient_sets = &orient_sets;
-                handles.push(scope.spawn(move |_| {
-                    let mut node_of = vec![UNPLACED; nclusters];
-                    let mut scratch = ChannelLoads::new(topo);
-                    let mut out = Vec::new();
-                    for (ei, entry) in beam.iter().enumerate().take(hi).skip(lo) {
-                        // set placed positions for this entry
-                        for &pc in placed {
-                            for &(m, nd) in &positions[pc][entry.choices[pc]] {
-                                node_of[m as usize] = nd;
+            let handles: Vec<_> = (0..n_threads)
+                .map(|t| {
+                    let (lo, hi) = ((t * chunk).min(total), ((t + 1) * chunk).min(total));
+                    let (beam, placed, route) = (&beam, &placed, &route);
+                    let (positions, chans, orient_sets) = (&positions, &chans, &orient_sets);
+                    scope.spawn(move |_| {
+                        // no un-setting needed: every candidate sets each
+                        // placed and incoming member the incident flows read
+                        let mut node_of = vec![UNPLACED; nclusters];
+                        let mut choices = vec![UNSET; children.len()];
+                        let mut scratch = ChannelLoads::new(topo);
+                        let mut out = Vec::with_capacity(hi - lo);
+                        let mut entry_set = UNSET;
+                        for k in lo..hi {
+                            let (ei, combo) = (k / combos, k % combos);
+                            let entry = &beam[ei];
+                            if ei != entry_set {
+                                for &c in placed {
+                                    place(&mut node_of, &positions[c][entry.choices[c]]);
+                                }
+                                entry_set = ei;
                             }
-                        }
-                        for oi in 0..orient_sets[next].len() {
-                            for &(m, nd) in &positions[next][oi] {
-                                node_of[m as usize] = nd;
+                            decode_combo(combo, incoming, orient_sets, &mut choices);
+                            for &c in incoming {
+                                place(&mut node_of, &positions[c][choices[c]]);
                             }
                             scratch.clear();
-                            for &&(s, d, bytes) in incident {
-                                stencils.route_flow(
-                                    topo,
-                                    opts.routing,
-                                    node_of[s as usize],
-                                    node_of[d as usize],
-                                    bytes,
-                                    &mut scratch,
-                                );
-                            }
+                            route(&node_of, &mut scratch);
                             // incremental MCL: untouched channels keep the
                             // entry's loads
                             let mut mcl = entry.mcl;
@@ -430,29 +327,18 @@ pub fn merge_blocks(
                                     }
                                 }
                             }
-                            out.push((mcl, ei, oi));
-                            for &(m, _) in &positions[next][oi] {
-                                node_of[m as usize] = UNPLACED;
-                            }
+                            out.push((mcl, ei, combo));
                         }
-                        for &pc in placed {
-                            for &(m, _) in &positions[pc][entry.choices[pc]] {
-                                node_of[m as usize] = UNPLACED;
-                            }
-                        }
-                    }
-                    out
-                }));
-            }
+                        out
+                    })
+                })
+                .collect();
             handles
                 .into_iter()
-                .flat_map(|h| {
-                    h.join()
-                        .unwrap_or_else(|p| std::panic::resume_unwind(p))
-                })
+                .flat_map(|h| h.join().unwrap_or_else(|p| resume_unwind(p)))
                 .collect()
         })
-        .unwrap_or_else(|p| std::panic::resume_unwind(p));
+        .unwrap_or_else(|p| resume_unwind(p));
         candidates_evaluated += ranked.len();
         ranked.sort_by(|x, y| {
             x.0.total_cmp(&y.0)
@@ -460,74 +346,43 @@ pub fn merge_blocks(
                 .then(x.2.cmp(&y.2))
         });
         ranked.truncate(opts.beam_width.max(1));
-        let mut new_beam = Vec::with_capacity(ranked.len());
-        for (_, ei, oi) in ranked {
-            let entry = &beam[ei];
-            for &pc in &placed {
-                for &(m, nd) in &positions[pc][entry.choices[pc]] {
-                    node_of[m as usize] = nd;
+        let new_beam: Vec<BeamEntry> = ranked
+            .into_iter()
+            .map(|(_, ei, combo)| {
+                let entry = &beam[ei];
+                let mut choices = entry.choices.clone();
+                decode_combo(combo, incoming, &orient_sets, &mut choices);
+                for &c in placed.iter().chain(incoming) {
+                    place(&mut node_of, &positions[c][choices[c]]);
                 }
-            }
-            for &(m, nd) in &positions[next][oi] {
-                node_of[m as usize] = nd;
-            }
-            let mut loads = match pool.pop() {
-                Some(mut l) => {
-                    l.copy_from(&entry.loads);
-                    l
-                }
-                None => entry.loads.clone(),
-            };
-            for &&(s, d, bytes) in &incident {
-                stencils.route_flow(
-                    topo,
-                    opts.routing,
-                    node_of[s as usize],
-                    node_of[d as usize],
-                    bytes,
-                    &mut loads,
-                );
-            }
-            for &pc in &placed {
-                for &(m, _) in &positions[pc][entry.choices[pc]] {
-                    node_of[m as usize] = UNPLACED;
-                }
-            }
-            for &(m, _) in &positions[next][oi] {
-                node_of[m as usize] = UNPLACED;
-            }
-            let mcl = loads.mcl(topo);
-            let mut choices = entry.choices.clone();
-            choices[next] = oi;
-            new_beam.push(BeamEntry { choices, loads, mcl });
-        }
+                let mut loads = match pool.pop() {
+                    Some(mut l) => {
+                        l.copy_from(&entry.loads);
+                        l
+                    }
+                    None => entry.loads.clone(),
+                };
+                route(&node_of, &mut loads);
+                let mcl = loads.mcl(topo);
+                BeamEntry { choices, loads, mcl }
+            })
+            .collect();
         candidates_kept += new_beam.len();
         let evicted = std::mem::replace(&mut beam, new_beam);
         pool.extend(evicted.into_iter().map(|e| e.loads));
-        placed.push(next);
+        placed.extend_from_slice(incoming);
     }
 
     // best entry -> composed parent block; children the (possibly
     // deadline-cut) search never placed fall back to identity orientation
-    let identity_choice: Vec<usize> = orient_sets
-        .iter()
-        .map(|os| {
-            os.iter()
-                .position(|o| (0..o.ndims()).all(|d| o.perm(d) == d && !o.flipped(d)))
-                .unwrap_or(0)
-        })
-        .collect();
-    let best_choices: Vec<usize> = match beam.iter().min_by(|x, y| x.mcl.total_cmp(&y.mcl)) {
-        Some(best) => best
-            .choices
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| if c == UNSET { identity_choice[i] } else { c })
-            .collect(),
-        // beam is non-empty by construction (the first pair always yields
-        // at least one entry); identity everywhere is the safe fallback
-        None => identity_choice.clone(),
-    };
+    // (step 0 always leaves a non-empty beam; the first minimum wins)
+    let best = beam[1..].iter().fold(&beam[0], |best, e| {
+        if e.mcl.total_cmp(&best.mcl).is_lt() {
+            e
+        } else {
+            best
+        }
+    });
     let composed = Block::compose(
         parent_origin,
         parent_extent,
@@ -535,8 +390,15 @@ pub fn merge_blocks(
             .iter()
             .enumerate()
             .map(|(i, c)| {
-                let o = &orient_sets[i][best_choices[i]];
-                (c.block.reoriented(o), c.origin)
+                let os = &orient_sets[i];
+                let choice = match best.choices[i] {
+                    UNSET => os
+                        .iter()
+                        .position(|o| (0..o.ndims()).all(|d| o.perm(d) == d && !o.flipped(d)))
+                        .unwrap_or(0),
+                    chosen => chosen,
+                };
+                (c.block.reoriented(&os[choice]), c.origin)
             })
             .collect::<Vec<_>>(),
     );
@@ -560,11 +422,27 @@ pub fn merge_blocks(
     }
 }
 
-/// Worker-thread count for a task of `items` independent units, delegated
-/// to the central core-budget helper so this phase shares the machine
-/// with concurrent slice workers and MILP branch-and-bound threads.
-fn num_worker_threads(items: usize, cap: usize) -> usize {
-    crate::cores::workers_for(items, cap)
+/// Writes the orientation indices encoded by `combo`, a row-major index
+/// into the product of the `incoming` children's orientation sets, into
+/// `choices`.
+fn decode_combo(
+    mut combo: usize,
+    incoming: &[usize],
+    orient_sets: &[Vec<Orientation>],
+    choices: &mut [usize],
+) {
+    for &c in incoming.iter().rev() {
+        let n = orient_sets[c].len();
+        choices[c] = combo % n;
+        combo /= n;
+    }
+}
+
+/// Records each member's node in `node_of`.
+fn place(node_of: &mut [NodeId], members: &[(Rank, NodeId)]) {
+    for &(m, nd) in members {
+        node_of[m as usize] = nd;
+    }
 }
 
 /// MCL of a block's internal traffic at a given origin.
@@ -904,7 +782,7 @@ mod tests {
 
     #[test]
     fn three_block_merge_uses_incremental_path() {
-        // 3 children exercise the post-first-pair incremental branch
+        // 3 children exercise a step after step 0 (the first pair)
         let topo = Torus::mesh(&[2, 3]);
         let g = patterns::random(6, 14, 1.0, 8.0, 42);
         let children: Vec<PositionedBlock> = (0..3)
@@ -982,6 +860,136 @@ mod tests {
         );
         assert_eq!(private.mcl, rerun.mcl);
         assert_eq!(private.block.members, rerun.block.members);
+    }
+
+    /// Blocks of extent `bext` tiling the whole of `topo`, block `q`'s
+    /// members numbered in reverse row-major order (so the identity
+    /// orientation is rarely the best one).
+    fn tiled_children(topo: &Torus, bext: &[u16]) -> Vec<PositionedBlock> {
+        let dims = topo.dims();
+        let counts: Vec<usize> = dims.iter().zip(bext).map(|(&d, &b)| (d / b) as usize).collect();
+        let per: usize = bext.iter().map(|&b| b as usize).product();
+        let unravel = |mut i: usize, radix: &[usize]| -> Vec<u16> {
+            let mut c = vec![0u16; radix.len()];
+            for d in (0..radix.len()).rev() {
+                c[d] = (i % radix[d]) as u16;
+                i /= radix[d];
+            }
+            c
+        };
+        let bradix: Vec<usize> = bext.iter().map(|&b| b as usize).collect();
+        (0..counts.iter().product())
+            .map(|q| {
+                let origin: Vec<u16> = unravel(q, &counts)
+                    .iter()
+                    .zip(bext)
+                    .map(|(&o, &b)| o * b)
+                    .collect();
+                let members = (0..per)
+                    .map(|i| ((q * per + per - 1 - i) as u32, c(&unravel(i, &bradix))))
+                    .collect();
+                PositionedBlock {
+                    block: Block { extent: c(bext), members },
+                    origin: c(&origin),
+                }
+            })
+            .collect()
+    }
+
+    /// Merges `tiled_children(topo, bext)` under `random(n, 3n, 1, 20, 11)`
+    /// traffic over the whole of `topo`.
+    fn tiled_merge(topo: &Torus, bext: &[u16], opts: &MergeOptions) -> MergeResult {
+        let children = tiled_children(topo, bext);
+        let n: u32 = children.iter().map(|ch| ch.block.members.len() as u32).sum();
+        let g = patterns::random(n, 3 * n as usize, 1.0, 20.0, 11);
+        let zero = c(&vec![0; topo.ndims()]);
+        merge_blocks(topo, &g, &children, &zero, &c(topo.dims()), opts)
+    }
+
+    /// `(mcl bits, candidates evaluated, candidates kept, node of each
+    /// member in cluster order)`.
+    fn fingerprint(topo: &Torus, r: &MergeResult) -> (u64, usize, usize, Vec<NodeId>) {
+        let mut members = r.block.members.clone();
+        members.sort_by_key(|&(m, _)| m);
+        let nodes = members.iter().map(|(_, x)| topo.node_id(x)).collect();
+        (r.mcl.to_bits(), r.candidates_evaluated, r.candidates_kept, nodes)
+    }
+
+    #[test]
+    fn merge_is_independent_of_thread_cap() {
+        let cases = [
+            (Torus::torus(&[4, 4]), vec![2u16, 2]),
+            (Torus::torus(&[4, 4, 4]), vec![2u16, 2, 2]),
+        ];
+        for (topo, bext) in &cases {
+            for beam_width in [1usize, 64] {
+                let run = |thread_cap| {
+                    let opts = MergeOptions { beam_width, thread_cap, ..Default::default() };
+                    fingerprint(topo, &tiled_merge(topo, bext, &opts))
+                };
+                let serial = run(1);
+                for cap in [2usize, 4, 0] {
+                    assert_eq!(serial, run(cap), "{bext:?} beam {beam_width} cap {cap}");
+                }
+            }
+        }
+    }
+
+    /// Pinned merge outputs: the MCL bits, the candidate counts and every
+    /// member's node. A change to scoring, ranking or tie-breaks shows
+    /// here.
+    #[test]
+    fn pinned_merges() {
+        // (machine, block extent, mcl bits, evaluated, kept, member nodes)
+        type Pin = (Torus, &'static [u16], u64, usize, usize, &'static [NodeId]);
+        let cases: [Pin; 3] = [
+            (
+                Torus::torus(&[4, 4]),
+                &[2, 2],
+                0x404224276985dbb9,
+                1088,
+                192,
+                &[
+                    1, 5, 0, 4, 3, 7, 2, 6, 13, 9, 12, 8, 11, 15, 10, 14,
+                ],
+            ),
+            (
+                Torus::torus(&[4, 4, 4]),
+                &[2, 2, 2],
+                0x404121ed414c9cd3,
+                20736,
+                448,
+                &[
+                    4, 20, 5, 21, 0, 16, 1, 17, 18, 2, 19, 3, 22, 6, 23, 7, 8, 9, 12, 13, 24,
+                    25, 28, 29, 14, 30, 10, 26, 15, 31, 11, 27, 36, 32, 37, 33, 52, 48, 53, 49,
+                    50, 34, 51, 35, 54, 38, 55, 39, 61, 60, 57, 56, 45, 44, 41, 40, 47, 63, 43,
+                    59, 46, 62, 42, 58,
+                ],
+            ),
+            // the final slice merge of two 64-member blocks: the full
+            // 48-orientation group on both sides
+            (
+                Torus::torus(&[8, 4, 4]),
+                &[4, 4, 4],
+                0x4050b2305323e17e,
+                2304,
+                64,
+                &[
+                    63, 62, 61, 60, 59, 58, 57, 56, 55, 54, 53, 52, 51, 50, 49, 48, 47, 46, 45,
+                    44, 43, 42, 41, 40, 39, 38, 37, 36, 35, 34, 33, 32, 31, 30, 29, 28, 27, 26,
+                    25, 24, 23, 22, 21, 20, 19, 18, 17, 16, 15, 14, 13, 12, 11, 10, 9, 8, 7, 6,
+                    5, 4, 3, 2, 1, 0, 124, 120, 116, 112, 125, 121, 117, 113, 126, 122, 118,
+                    114, 127, 123, 119, 115, 108, 104, 100, 96, 109, 105, 101, 97, 110, 106,
+                    102, 98, 111, 107, 103, 99, 92, 88, 84, 80, 93, 89, 85, 81, 94, 90, 86, 82,
+                    95, 91, 87, 83, 76, 72, 68, 64, 77, 73, 69, 65, 78, 74, 70, 66, 79, 75, 71,
+                    67,
+                ],
+            ),
+        ];
+        for (topo, bext, bits, evaluated, kept, nodes) in &cases {
+            let got = fingerprint(topo, &tiled_merge(topo, bext, &MergeOptions::default()));
+            assert_eq!(got, (*bits, *evaluated, *kept, nodes.to_vec()), "blocks {bext:?}");
+        }
     }
 
     use rahtm_commgraph::CommGraph;

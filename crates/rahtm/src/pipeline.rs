@@ -401,36 +401,33 @@ impl RahtmMapper {
         let merge_cache: Mutex<HashMap<MergeKey, Vec<Coord>>> = Mutex::new(HashMap::new());
         type SliceOutcome =
             Result<(PositionedBlock, PhaseStats), Box<dyn std::any::Any + Send + 'static>>;
+        // One slice's phases 2+3; both the scoped workers and the panic
+        // salvage below run slices through it.
+        let solve = |si: usize| {
+            let mut local_stats = PhaseStats::default();
+            let g_slice = g_node.induced(&slice_members[si]);
+            let block = self.solve_slice(
+                machine,
+                &slices[si],
+                &g_slice,
+                &slice_grids[si],
+                &slice_members[si],
+                &g_node,
+                &cache,
+                &merge_cache,
+                &machine_stencils,
+                &mut local_stats,
+                deadline,
+                slice_core_share,
+                milp_threads,
+            );
+            (block, local_stats)
+        };
         let slice_results: Vec<SliceOutcome> = match crossbeam::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for (si, slice) in slices.iter().enumerate() {
-                let members = &slice_members[si];
-                let sgrid = &slice_grids[si];
-                let g_node = &g_node;
-                let cache = &cache;
-                let merge_cache = &merge_cache;
-                let machine_stencils = &machine_stencils;
-                handles.push(scope.spawn(move |_| {
-                    let mut local_stats = PhaseStats::default();
-                    let g_slice = g_node.induced(members);
-                    let block = self.solve_slice(
-                        machine,
-                        slice,
-                        &g_slice,
-                        sgrid,
-                        members,
-                        g_node,
-                        cache,
-                        merge_cache,
-                        machine_stencils,
-                        &mut local_stats,
-                        deadline,
-                        slice_core_share,
-                        milp_threads,
-                    );
-                    (block, local_stats)
-                }));
-            }
+            let solve = &solve;
+            let handles: Vec<_> = (0..slices.len())
+                .map(|si| scope.spawn(move |_| solve(si)))
+                .collect();
             // join() captures worker panics as Err payloads instead of
             // taking the whole run down; salvage happens below
             handles.into_iter().map(|h| h.join()).collect()
@@ -461,26 +458,7 @@ impl RahtmMapper {
                     stats.degradation.events.push(format!(
                         "slice {si}: worker panicked ({msg}); re-solved sequentially"
                     ));
-                    let retry = catch_unwind(AssertUnwindSafe(|| {
-                        let mut local_stats = PhaseStats::default();
-                        let g_slice = g_node.induced(&slice_members[si]);
-                        let block = self.solve_slice(
-                            machine,
-                            &slices[si],
-                            &g_slice,
-                            &slice_grids[si],
-                            &slice_members[si],
-                            &g_node,
-                            &cache,
-                            &merge_cache,
-                            &machine_stencils,
-                            &mut local_stats,
-                            deadline,
-                            slice_core_share,
-                            milp_threads,
-                        );
-                        (block, local_stats)
-                    }));
+                    let retry = catch_unwind(AssertUnwindSafe(|| solve(si)));
                     match retry {
                         Ok((block, local)) => {
                             slice_blocks.push(block);
@@ -519,8 +497,11 @@ impl RahtmMapper {
                         deadline,
                         recorder: self.recorder.clone(),
                         stencils: Some(Arc::clone(&machine_stencils)),
-                        // slice blocks exceed full_group_member_limit, so the
-                        // search automatically restricts to axis flips
+                        // a slice block searches only axis flips when it has
+                        // more members than full_group_member_limit (64):
+                        // paper-16k's 256-member slices search the 16 flips,
+                        // mini-1k's 64-member slices the full 48-orientation
+                        // group
                         ..Default::default()
                     },
                 );

@@ -14,6 +14,7 @@
 //! instantiation of its future-work remark, off by default
 //! (`RahtmConfig::default` leaves `polish_swaps = 0`).
 
+use crate::anneal::SwapStager;
 use rahtm_commgraph::CommGraph;
 use rahtm_routing::{IncrementalLoads, RouteStencilCache, Routing};
 use rahtm_topology::{NodeId, Torus};
@@ -85,20 +86,12 @@ pub fn polish_placement_with(
         cluster_at[n as usize] = Some(cl as u32);
     }
     let mut inc = IncrementalLoads::new(topo, graph, &place, routing, stencils);
-    let mut flows_of_cluster: Vec<Vec<u32>> = vec![Vec::new(); place.len()];
-    for (i, f) in graph.flows().iter().enumerate() {
-        if f.src == f.dst {
-            continue;
-        }
-        flows_of_cluster[f.src as usize].push(i as u32);
-        flows_of_cluster[f.dst as usize].push(i as u32);
-    }
+    let mut stager = SwapStager::new(topo, graph, routing, stencils);
     let initial_mcl = inc.mcl();
     let mut cur = initial_mcl;
     let mut rng = StdRng::seed_from_u64(seed);
     let mut swaps_accepted = 0;
     let mut proposals = 0;
-    let mut touched: Vec<u32> = Vec::new();
 
     while proposals < max_proposals {
         // find the bottleneck channel's endpoints
@@ -134,49 +127,7 @@ pub fn polish_placement_with(
             }
             proposals += 1;
             place.swap(a as usize, b as usize);
-            // sorted union of the two clusters' incident flows
-            touched.clear();
-            let la = &flows_of_cluster[a as usize];
-            let lb = &flows_of_cluster[b as usize];
-            let (mut i, mut j) = (0usize, 0usize);
-            while i < la.len() || j < lb.len() {
-                match (la.get(i), lb.get(j)) {
-                    (Some(&x), Some(&y)) if x == y => {
-                        touched.push(x);
-                        i += 1;
-                        j += 1;
-                    }
-                    (Some(&x), Some(&y)) if x < y => {
-                        touched.push(x);
-                        i += 1;
-                    }
-                    (Some(_), Some(&y)) => {
-                        touched.push(y);
-                        j += 1;
-                    }
-                    (Some(&x), None) => {
-                        touched.push(x);
-                        i += 1;
-                    }
-                    (None, Some(&y)) => {
-                        touched.push(y);
-                        j += 1;
-                    }
-                    (None, None) => unreachable!(),
-                }
-            }
-            for &fi in &touched {
-                let f = &graph.flows()[fi as usize];
-                inc.stage_flow(
-                    fi,
-                    topo,
-                    stencils,
-                    routing,
-                    place[f.src as usize],
-                    place[f.dst as usize],
-                    f.bytes,
-                );
-            }
+            stager.stage(&mut inc, &place, Some(a), Some(b));
             let cand = inc.staged_mcl();
             if cand < cur - 1e-12 {
                 inc.commit();

@@ -6,26 +6,24 @@
 //! O(degree) work per proposal instead of O(flows) — while staying
 //! **bit-identical** to a from-scratch [`crate::route_graph`].
 //!
+//! A proposal is a two-phase transaction: [`IncrementalLoads::stage_flow`]
+//! each re-routed flow, read the candidate MCL with
+//! [`IncrementalLoads::staged_mcl`], then [`IncrementalLoads::commit`] or
+//! [`IncrementalLoads::discard`]. Candidate state is built in reusable
+//! scratch, so live state is never mutated before the commit and a
+//! rejected proposal costs no re-route back.
+//!
 //! Bit-identity is the hard part: floating-point addition is not
 //! associative, so naive `sum += new - old` deltas drift. Instead each
 //! channel slot keeps its contribution list `(flow, seq, value)` ordered by
 //! `(flow, seq)` — exactly the order `route_graph` adds them — and a
-//! touched slot's sum is recomputed by refolding the list left to right.
-//! Same addends, same order, same bits. Reverting a swap re-routes the
-//! flows back with their old endpoints; since values are deterministic the
-//! list (and every fold) is restored exactly, so no undo log is needed.
+//! staged slot's candidate list is built by one merge pass and summed left
+//! to right. Same addends, same order, same bits; committing a swap back
+//! restores every list (and every sum) exactly.
 //!
 //! The width-normalized max (MCL) is maintained lazily: raising updates it
 //! in place, and only a shrink of the current maximum forces a rescan on
 //! the next [`IncrementalLoads::mcl`] call.
-//!
-//! For annealing-style propose/accept loops there is also a **staged**
-//! two-phase path ([`IncrementalLoads::stage_flow`] /
-//! [`IncrementalLoads::staged_mcl`] / [`IncrementalLoads::commit`] /
-//! [`IncrementalLoads::discard`]): candidate contribution lists are built
-//! in reusable scratch by a single merge pass, the candidate MCL is read
-//! without mutating live state, and a rejected proposal is discarded for
-//! free — no re-route back, no list surgery on the live state.
 
 use rahtm_commgraph::CommGraph;
 use rahtm_topology::{ChannelId, NodeId, Torus};
@@ -33,7 +31,7 @@ use rahtm_topology::{ChannelId, NodeId, Torus};
 use crate::stencil::RouteStencilCache;
 use crate::Routing;
 
-/// Channel loads that support exact `reroute_flow` deltas.
+/// Channel loads that support exact staged per-flow reroutes.
 #[derive(Clone, Debug)]
 pub struct IncrementalLoads {
     /// Per channel slot: `(flow, seq, value)` sorted by `(flow, seq)`.
@@ -135,71 +133,6 @@ impl IncrementalLoads {
         }
         inc.rescan_max();
         inc
-    }
-
-    /// Re-routes `flow` to the endpoints `src → dst`, exactly replacing its
-    /// old contribution. Passing the flow's previous endpoints reverts a
-    /// prior reroute bit-exactly.
-    #[allow(clippy::too_many_arguments)]
-    pub fn reroute_flow(
-        &mut self,
-        flow: u32,
-        topo: &Torus,
-        cache: &RouteStencilCache,
-        routing: Routing,
-        src: NodeId,
-        dst: NodeId,
-        bytes: f64,
-    ) {
-        let fi = flow as usize;
-        // Pull the flow's old entries out of every slot it loaded.
-        let old_slots = std::mem::take(&mut self.footprint[fi]);
-        for &slot in &old_slots {
-            self.contribs[slot as usize].retain(|&(f, _, _)| f != flow);
-        }
-        // Insert the new entries at their (flow, seq) rank.
-        let mut new_slots: Vec<u32> = Vec::with_capacity(old_slots.len());
-        let mut seq = 0u32;
-        cache.for_each_load(topo, routing, src, dst, bytes, |slot, v| {
-            let list = &mut self.contribs[slot as usize];
-            let at = list.partition_point(|&(f, s, _)| (f, s) < (flow, seq));
-            list.insert(at, (flow, seq, v));
-            new_slots.push(slot);
-            seq += 1;
-        });
-        new_slots.sort_unstable();
-        new_slots.dedup();
-        // Refold every touched slot (old ∪ new) and repair the lazy max.
-        let mut i = 0;
-        let mut j = 0;
-        while i < old_slots.len() || j < new_slots.len() {
-            let slot = match (old_slots.get(i), new_slots.get(j)) {
-                (Some(&a), Some(&b)) if a == b => {
-                    i += 1;
-                    j += 1;
-                    a
-                }
-                (Some(&a), Some(&b)) if a < b => {
-                    i += 1;
-                    a
-                }
-                (Some(_), Some(&b)) => {
-                    j += 1;
-                    b
-                }
-                (Some(&a), None) => {
-                    i += 1;
-                    a
-                }
-                (None, Some(&b)) => {
-                    j += 1;
-                    b
-                }
-                (None, None) => unreachable!(),
-            };
-            self.refold(slot);
-        }
-        self.footprint[fi] = new_slots;
     }
 
     /// Registers `slot` in the open proposal, returning its index in
@@ -398,23 +331,6 @@ impl IncrementalLoads {
         self.staged_footprints.clear();
     }
 
-    /// Recomputes one slot's sum from its contribution list and updates
-    /// the lazy max: a value reaching the top raises it in place; shrinking
-    /// the current top just marks it stale for the next [`Self::mcl`].
-    fn refold(&mut self, slot: u32) {
-        let s = slot as usize;
-        let old = self.sums[s];
-        let new = fold(&self.contribs[s]);
-        self.sums[s] = new;
-        let w = self.width_of[s];
-        let new_n = new / w;
-        if new_n >= self.max_norm {
-            self.max_norm = new_n;
-        } else if old / w == self.max_norm {
-            self.max_dirty = true;
-        }
-    }
-
     fn rescan_max(&mut self) {
         let mut max = 0.0f64;
         for &(slot, w) in &self.chan_widths {
@@ -495,9 +411,10 @@ mod tests {
         assert_eq!(scratch.argmax(topo), inc.argmax(), "argmax diverged");
     }
 
-    /// Re-route the flows incident to `a` and `b` after a placement swap.
+    /// Stages the re-route of every flow incident to `a` or `b` after a
+    /// placement swap, in ascending flow id order.
     #[allow(clippy::too_many_arguments)]
-    fn reroute_incident(
+    fn stage_incident(
         topo: &Torus,
         graph: &CommGraph,
         placement: &[NodeId],
@@ -509,7 +426,7 @@ mod tests {
     ) {
         for (i, f) in graph.flows().iter().enumerate() {
             if f.src == a || f.dst == a || f.src == b || f.dst == b {
-                inc.reroute_flow(
+                inc.stage_flow(
                     i as u32,
                     topo,
                     cache,
@@ -544,43 +461,21 @@ mod tests {
         let mut inc = IncrementalLoads::new(&t, &g, &placement, routing, &cache);
         let before: Vec<f64> = inc.as_slice().to_vec();
         let mcl_before = inc.mcl();
-        // swap ranks 3 and 11, re-route, then swap back and re-route
+        // swap ranks 3 and 11 and commit, then swap back and commit
         placement.swap(3, 11);
-        reroute_incident(&t, &g, &placement, routing, &cache, &mut inc, 3, 11);
+        stage_incident(&t, &g, &placement, routing, &cache, &mut inc, 3, 11);
+        inc.staged_mcl();
+        inc.commit();
         check_matches_scratch(&t, &g, &placement, routing, &mut inc);
         placement.swap(3, 11);
-        reroute_incident(&t, &g, &placement, routing, &cache, &mut inc, 3, 11);
+        stage_incident(&t, &g, &placement, routing, &cache, &mut inc, 3, 11);
+        inc.staged_mcl();
+        inc.commit();
         assert_eq!(before, inc.as_slice().to_vec());
         assert_eq!(mcl_before, inc.mcl());
     }
 
     proptest! {
-        /// After N random swap (and occasional revert) steps the
-        /// incremental state equals a from-scratch route_graph exactly.
-        #[test]
-        fn random_swaps_match_scratch(seed in 0u64..24, dor in proptest::bool::ANY) {
-            let t = Torus::torus(&[4, 2, 2]);
-            let g = patterns::random(16, 40, 1.0, 20.0, seed ^ 0xabcd);
-            let routing = if dor { Routing::DimOrder } else { Routing::UniformMinimal };
-            let mut placement: Vec<u32> = (0..16).collect();
-            let cache = RouteStencilCache::new(&t);
-            let mut inc = IncrementalLoads::new(&t, &g, &placement, routing, &cache);
-            let mut rng = StdRng::seed_from_u64(seed);
-            for step in 0..30 {
-                let a = rng.gen_range(0..16u32);
-                let mut b = rng.gen_range(0..15u32);
-                if b >= a { b += 1; }
-                placement.swap(a as usize, b as usize);
-                reroute_incident(&t, &g, &placement, routing, &cache, &mut inc, a, b);
-                if step % 3 == 0 {
-                    // revert, as an annealer reject would
-                    placement.swap(a as usize, b as usize);
-                    reroute_incident(&t, &g, &placement, routing, &cache, &mut inc, a, b);
-                }
-                check_matches_scratch(&t, &g, &placement, routing, &mut inc);
-            }
-        }
-
         /// The staged propose/commit/discard path: every candidate MCL
         /// equals a from-scratch evaluation of the candidate placement, and
         /// live state tracks exactly through commits and discards.
@@ -598,14 +493,7 @@ mod tests {
                 let mut b = rng.gen_range(0..15u32);
                 if b >= a { b += 1; }
                 placement.swap(a as usize, b as usize);
-                for (i, f) in g.flows().iter().enumerate() {
-                    if f.src == a || f.dst == a || f.src == b || f.dst == b {
-                        inc.stage_flow(
-                            i as u32, &t, &cache, routing,
-                            placement[f.src as usize], placement[f.dst as usize], f.bytes,
-                        );
-                    }
-                }
+                stage_incident(&t, &g, &placement, routing, &cache, &mut inc, a, b);
                 let cand = inc.staged_mcl();
                 let scratch = route_graph(&t, &g, &placement, routing);
                 prop_assert_eq!(cand, scratch.mcl(&t));
