@@ -39,14 +39,14 @@
 //! with a lexicographically smaller solution vector. Combined with
 //! interleaving-independent node results, the returned optimum is
 //! bit-identical for any thread count whenever the true optimum is
-//! separated from the runner-up by more than `rel_gap·max(|obj|, 1)` (the
-//! pruning slack): every schedule then explores some node whose solution
-//! is that optimum, and the `(objective, x)` order picks the same winner
-//! regardless of discovery order. Optima tied within the gap slack may be
-//! pruned against each other in schedule-dependent order, and budget- or
-//! deadline-truncated searches are best-effort. With more than one worker,
-//! `nodes`/`best_bound` are diagnostics and may vary across schedules; a
-//! single worker is fully deterministic.
+//! separated from the runner-up by more than `REL_GAP·max(|obj|, 1)` (the
+//! pruning slack; `REL_GAP` = 1e-9): every schedule then explores some node
+//! whose solution is that optimum, and the `(objective, x)` order picks the
+//! same winner regardless of discovery order. Optima tied within the gap
+//! slack may be pruned against each other in schedule-dependent order, and
+//! budget- or deadline-truncated searches are best-effort. With more than
+//! one worker, `nodes`/`best_bound` are diagnostics and may vary across
+//! schedules; a single worker is fully deterministic.
 
 use crate::problem::Problem;
 use crate::simplex::{BasisSnapshot, LpStatus, SimplexOptions, SimplexScratch};
@@ -88,6 +88,13 @@ pub struct MilpResult {
     pub deadline_hit: bool,
 }
 
+/// Integrality tolerance: an LP value this close to an integer is integral.
+const INT_TOL: f64 = 1e-6;
+/// Relative optimality gap: a bound within `REL_GAP·max(|incumbent|, 1)`
+/// of the incumbent prunes its node and still counts as a proof of
+/// [`MilpStatus::Optimal`].
+const REL_GAP: f64 = 1e-9;
+
 /// Solver knobs.
 #[derive(Clone, Debug)]
 pub struct MilpOptions {
@@ -95,10 +102,6 @@ pub struct MilpOptions {
     pub lp: SimplexOptions,
     /// Node budget.
     pub max_nodes: usize,
-    /// Integrality tolerance.
-    pub int_tol: f64,
-    /// Relative optimality gap at which to stop.
-    pub rel_gap: f64,
     /// Optional warm incumbent: a feasible integral point.
     pub initial_incumbent: Option<Vec<f64>>,
     /// Branch-and-bound workers. `0` or `1` (the default) runs one worker
@@ -113,8 +116,6 @@ impl Default for MilpOptions {
         MilpOptions {
             lp: SimplexOptions::default(),
             max_nodes: 10_000,
-            int_tol: 1e-6,
-            rel_gap: 1e-9,
             initial_incumbent: None,
             threads: 1,
         }
@@ -275,7 +276,7 @@ pub fn solve_milp(p: &Problem, opts: &MilpOptions) -> MilpResult {
     };
     match best_x {
         Some(x) => MilpResult {
-            status: if exhausted && best_bound < best_obj - gap_slack(best_obj, opts.rel_gap) {
+            status: if exhausted && best_bound < best_obj - gap_slack(best_obj) {
                 MilpStatus::Feasible
             } else {
                 MilpStatus::Optimal
@@ -355,7 +356,7 @@ fn process(
         return;
     }
     let best = f64::from_bits(shared.best_bits.load(Ordering::Acquire));
-    if node.parent_bound >= best - gap_slack(best, opts.rel_gap) {
+    if node.parent_bound >= best - gap_slack(best) {
         stats.pruned += 1;
         return;
     }
@@ -395,13 +396,13 @@ fn process(
     }
     let bound = sol.objective;
     let best = f64::from_bits(shared.best_bits.load(Ordering::Acquire));
-    if bound >= best - gap_slack(best, opts.rel_gap) {
+    if bound >= best - gap_slack(best) {
         stats.pruned += 1;
         return;
     }
     // Most fractional integer variable.
     let mut branch: Option<(usize, f64)> = None;
-    let mut best_frac = opts.int_tol;
+    let mut best_frac = INT_TOL;
     for &j in &shared.int_cols {
         let v = sol.x[j];
         let frac = (v - v.round()).abs();
@@ -464,10 +465,10 @@ fn process(
     }
 }
 
-/// Absolute slack corresponding to the relative gap.
-fn gap_slack(best_obj: f64, rel_gap: f64) -> f64 {
+/// Absolute slack corresponding to [`REL_GAP`].
+fn gap_slack(best_obj: f64) -> f64 {
     if best_obj.is_finite() {
-        rel_gap * best_obj.abs().max(1.0)
+        REL_GAP * best_obj.abs().max(1.0)
     } else {
         0.0
     }

@@ -52,10 +52,6 @@ pub struct Solution {
 pub struct SimplexOptions {
     /// Pivot budget across both phases.
     pub max_iters: usize,
-    /// Primal feasibility tolerance.
-    pub feas_tol: f64,
-    /// Reduced-cost (dual) tolerance.
-    pub cost_tol: f64,
     /// Refactorize the basis inverse every this many pivots.
     pub refactor_every: usize,
     /// Wall-clock budget, polled every [`DEADLINE_CHECK_EVERY`] pivots.
@@ -69,12 +65,16 @@ pub struct SimplexOptions {
 /// pivot on tiny sub-problems can be comparable, so polling is batched).
 pub const DEADLINE_CHECK_EVERY: usize = 64;
 
+/// Primal feasibility tolerance (bound violations, ratio-test ties,
+/// degenerate steps).
+const FEAS_TOL: f64 = 1e-7;
+/// Reduced-cost (dual) tolerance: the least improvement that prices in.
+const COST_TOL: f64 = 1e-9;
+
 impl Default for SimplexOptions {
     fn default() -> Self {
         SimplexOptions {
             max_iters: 100_000,
-            feas_tol: 1e-7,
-            cost_tol: 1e-9,
             refactor_every: 500,
             deadline: Deadline::never(),
             recorder: Recorder::disabled(),
@@ -383,9 +383,9 @@ impl Tableau {
                 // increasing improves if d < -tol and we're not at upper;
                 // decreasing improves if d > tol and we're not at lower.
                 let mut cand: Option<i32> = None;
-                if d < -opts.cost_tol && (!at_up || free) {
+                if d < -COST_TOL && (!at_up || free) {
                     cand = Some(1);
-                } else if d > opts.cost_tol && (at_up || free) {
+                } else if d > COST_TOL && (at_up || free) {
                     cand = Some(-1);
                 }
                 if let Some(dir) = cand {
@@ -418,23 +418,23 @@ impl Tableau {
             let mut leave: Option<usize> = None; // row index
             for k in 0..m {
                 let g = delta * w[k];
-                if g > opts.feas_tol {
+                if g > FEAS_TOL {
                     let lb = self.lower[self.basis[k]];
                     if lb.is_finite() {
                         let t = (self.beta[k] - lb) / g;
-                        if t < t_best - opts.feas_tol
-                            || (t < t_best + opts.feas_tol && better_leave(self, leave, k, &w, bland))
+                        if t < t_best - FEAS_TOL
+                            || (t < t_best + FEAS_TOL && better_leave(self, leave, k, &w, bland))
                         {
                             t_best = t.max(0.0);
                             leave = Some(k);
                         }
                     }
-                } else if g < -opts.feas_tol {
+                } else if g < -FEAS_TOL {
                     let ub = self.upper[self.basis[k]];
                     if ub.is_finite() {
                         let t = (ub - self.beta[k]) / (-g);
-                        if t < t_best - opts.feas_tol
-                            || (t < t_best + opts.feas_tol && better_leave(self, leave, k, &w, bland))
+                        if t < t_best - FEAS_TOL
+                            || (t < t_best + FEAS_TOL && better_leave(self, leave, k, &w, bland))
                         {
                             t_best = t.max(0.0);
                             leave = Some(k);
@@ -462,7 +462,7 @@ impl Tableau {
                 return (LpStatus::Unbounded, iters, polls);
             };
             let t = t_best;
-            if t <= opts.feas_tol {
+            if t <= FEAS_TOL {
                 degen_run += 1;
                 if degen_run > 100 + 2 * m {
                     bland = true;
@@ -725,12 +725,12 @@ impl Tableau {
             let mut leave: Option<(usize, f64, bool)> = None; // (row, violation, above upper?)
             for k in 0..m {
                 let j = self.basis[k];
-                if self.beta[k] < self.lower[j] - opts.feas_tol {
+                if self.beta[k] < self.lower[j] - FEAS_TOL {
                     let v = self.lower[j] - self.beta[k];
                     if leave.is_none_or(|(_, bv, _)| v > bv) {
                         leave = Some((k, v, false));
                     }
-                } else if self.beta[k] > self.upper[j] + opts.feas_tol {
+                } else if self.beta[k] > self.upper[j] + FEAS_TOL {
                     let v = self.beta[k] - self.upper[j];
                     if leave.is_none_or(|(_, bv, _)| v > bv) {
                         leave = Some((k, v, true));

@@ -97,8 +97,6 @@ pub mod spans {
     pub const MERGE: &str = "pipeline.merge";
     /// Final cross-slice merge.
     pub const MERGE_SLICES: &str = "pipeline.merge.slices";
-    /// Optional §VI polish pass.
-    pub const POLISH: &str = "pipeline.polish";
     /// Merge level at block side `sb` (nested under [`MERGE`]).
     pub fn merge_side(sb: u16) -> String {
         format!("pipeline.merge.side{sb}")

@@ -21,22 +21,23 @@ use std::sync::Arc;
 /// `Instant::now()` per proposal would dominate the cheap move evaluation.
 const DEADLINE_CHECK_EVERY: usize = 256;
 
+/// Initial temperature as a fraction of the initial MCL.
+const T0_FRAC: f64 = 0.3;
+/// Geometric cooling: final temperature as a fraction of initial.
+const T_END_FRAC: f64 = 1e-3;
+
 /// Annealing knobs.
 #[derive(Clone, Debug)]
 pub struct AnnealOptions {
     /// Proposal count.
     pub iterations: usize,
-    /// Initial temperature as a fraction of the initial MCL.
-    pub t0_frac: f64,
-    /// Geometric cooling: final temperature as a fraction of initial.
-    pub t_end_frac: f64,
     /// RNG seed (annealing is fully reproducible).
     pub seed: u64,
     /// Routing model used for scoring.
     pub routing: Routing,
-    /// Wall-clock budget: polled every [`DEADLINE_CHECK_EVERY`] proposals;
-    /// on expiry the best placement found so far is returned. The default
-    /// never expires, keeping runs deterministic.
+    /// Wall-clock budget: polled every 256 proposals; on expiry the best
+    /// placement found so far is returned. The default never expires,
+    /// keeping runs deterministic.
     pub deadline: Deadline,
     /// Trace sink (disabled by default; accept/reject totals are recorded
     /// once at the end of the run, never per proposal).
@@ -51,8 +52,6 @@ impl Default for AnnealOptions {
     fn default() -> Self {
         AnnealOptions {
             iterations: 20_000,
-            t0_frac: 0.3,
-            t_end_frac: 1e-3,
             seed: 0x5eed,
             routing: Routing::UniformMinimal,
             deadline: Deadline::never(),
@@ -125,8 +124,8 @@ pub fn anneal_map(cube: &Torus, graph: &CommGraph, opts: &AnnealOptions) -> Anne
         };
     }
 
-    let t0 = (cur * opts.t0_frac).max(1e-9);
-    let t_end = (t0 * opts.t_end_frac).max(1e-12);
+    let t0 = (cur * T0_FRAC).max(1e-9);
+    let t_end = (t0 * T_END_FRAC).max(1e-12);
     let cool = (t_end / t0).powf(1.0 / opts.iterations as f64);
     let mut temp = t0;
 
@@ -200,10 +199,10 @@ pub fn anneal_map(cube: &Torus, graph: &CommGraph, opts: &AnnealOptions) -> Anne
     }
 }
 
-/// Stages two-cluster swaps on [`IncrementalLoads`] for the annealer and
-/// the polish pass: after a swap, every flow incident to either cluster is
-/// re-routed, in ascending flow id order.
-pub(crate) struct SwapStager<'a> {
+/// Stages the annealer's two-cluster swaps on [`IncrementalLoads`]: after
+/// a swap, every flow incident to either cluster is re-routed, in
+/// ascending flow id order.
+struct SwapStager<'a> {
     topo: &'a Torus,
     graph: &'a CommGraph,
     routing: Routing,
@@ -215,7 +214,7 @@ pub(crate) struct SwapStager<'a> {
 }
 
 impl<'a> SwapStager<'a> {
-    pub(crate) fn new(
+    fn new(
         topo: &'a Torus,
         graph: &'a CommGraph,
         routing: Routing,
@@ -241,7 +240,7 @@ impl<'a> SwapStager<'a> {
 
     /// Stages the re-route of every flow incident to cluster `a` or `b`
     /// under the already-swapped `placement` (`None` is an empty vertex).
-    pub(crate) fn stage(
+    fn stage(
         &mut self,
         inc: &mut IncrementalLoads,
         placement: &[NodeId],

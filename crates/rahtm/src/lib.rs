@@ -24,8 +24,7 @@
 //! [`mapping::TaskMapping`] that can be written as a BG/Q-style mapfile.
 //!
 //! The paper's §VI discussion items are implemented as extensions:
-//! [`opportunity`] (predicting whether a workload is worth mapping),
-//! [`refine`] (a post-pipeline swap polish, off by default), and
+//! [`opportunity`] (predicting whether a workload is worth mapping) and
 //! [`fattree`] / [`dragonfly`] (the algorithm on the other topologies §VI
 //! names, where vertex symmetry collapses the orientation search into
 //! recursive partitioning: both mappers are one [`cluster::partition`]
@@ -51,7 +50,6 @@ pub mod merge;
 pub mod milp;
 pub mod opportunity;
 pub mod pipeline;
-pub mod refine;
 
 pub use error::RahtmError;
 pub use fault::{Fault, FaultPlan};

@@ -30,6 +30,14 @@ use std::sync::Arc;
 
 const UNPLACED: NodeId = NodeId::MAX;
 
+/// Blocks with more members than this search only axis flips (identity
+/// permutation) instead of the full hyperoctahedral group. This bounds the
+/// cost of merging very large blocks: in practice only the final
+/// machine-level merge of whole slices, and only once a slice holds more
+/// than 64 node-clusters. Paper-16k's 256-member slices search the 16
+/// flips; mini-1k's 64-member slices still search all 48 orientations.
+const FULL_GROUP_MEMBER_LIMIT: usize = 64;
+
 /// Merge-phase knobs.
 #[derive(Clone, Debug)]
 pub struct MergeOptions {
@@ -37,14 +45,6 @@ pub struct MergeOptions {
     pub beam_width: usize,
     /// Routing model used for MCL scoring (paper: the MAR approximation).
     pub routing: Routing,
-    /// Blocks with more members than this search only axis flips (identity
-    /// permutation) instead of the full hyperoctahedral group. This bounds
-    /// the cost of merging very large blocks — in practice only the final
-    /// machine-level merge of whole slices, and only once a slice holds
-    /// more than 64 node-clusters (paper-16k's 256-member slices search the
-    /// 16 flips; mini-1k's 64-member slices still search all 48
-    /// orientations).
-    pub full_group_member_limit: usize,
     /// Wall-clock budget: checked on entry and between beam steps. On
     /// expiry the search stops and any still-unplaced child keeps its
     /// identity orientation — a valid (if unoptimized) composition is
@@ -70,7 +70,6 @@ impl Default for MergeOptions {
         MergeOptions {
             beam_width: 64,
             routing: Routing::UniformMinimal,
-            full_group_member_limit: 64,
             deadline: Deadline::never(),
             recorder: Recorder::disabled(),
             stencils: None,
@@ -176,7 +175,7 @@ pub fn merge_blocks(
             let mut os = Orientation::enumerate_for(extent);
             // dedupe: flipping an extent-1 output dimension is a no-op
             os.retain(|o| (0..o.ndims()).all(|d| extent.get(o.perm(d)) > 1 || !o.flipped(d)));
-            if c.block.members.len() > opts.full_group_member_limit {
+            if c.block.members.len() > FULL_GROUP_MEMBER_LIMIT {
                 // large block: axis flips only (identity permutation)
                 os.retain(|o| (0..o.ndims()).all(|d| o.perm(d) == d));
             }
@@ -701,46 +700,40 @@ mod tests {
 
     #[test]
     fn large_blocks_search_flips_only() {
-        // with full_group_member_limit = 0, every block is "large": the
-        // candidate count must drop to (2^active_dims)^2 for the first
-        // pair instead of the full hyperoctahedral square
-        let topo = Torus::mesh(&[4, 2]);
-        let g = patterns::random(8, 16, 1.0, 5.0, 21);
-        let children: Vec<PositionedBlock> = (0..2)
-            .map(|h| PositionedBlock {
-                block: Block {
-                    extent: c(&[2, 2]),
-                    members: (0..4)
-                        .map(|i| (h * 4 + i, c(&[(i / 2) as u16, (i % 2) as u16])))
-                        .collect(),
-                },
-                origin: c(&[h as u16 * 2, 0]),
-            })
-            .collect();
-        let full = merge_blocks(
-            &topo,
-            &g,
-            &children,
-            &c(&[0, 0]),
-            &c(&[4, 2]),
-            &MergeOptions::default(),
-        );
-        let flips = merge_blocks(
-            &topo,
-            &g,
-            &children,
-            &c(&[0, 0]),
-            &c(&[4, 2]),
-            &MergeOptions {
-                full_group_member_limit: 0,
-                ..Default::default()
-            },
-        );
-        // 2x2 block: full group = 8 orientations; flips-only = 4
-        assert_eq!(full.candidates_evaluated, 8 * 8);
-        assert_eq!(flips.candidates_evaluated, 4 * 4);
-        // restricted search can never beat the full one
-        assert!(full.mcl <= flips.mcl + 1e-9);
+        // two side-by-side s×s blocks on a 2s×s mesh: at s = 8 (64 members,
+        // at FULL_GROUP_MEMBER_LIMIT) the first pair searches the full
+        // group, 8 orientations each; at s = 9 (81 members) the axis flips
+        // only, 4 each
+        for (s, per_child) in [(8u16, 8), (9, 4)] {
+            let side = u32::from(s);
+            let n = side * side;
+            let topo = Torus::mesh(&[2 * s, s]);
+            let g = patterns::random(2 * n, 4 * n as usize, 1.0, 5.0, 21);
+            let children: Vec<PositionedBlock> = (0..2)
+                .map(|h| PositionedBlock {
+                    block: Block {
+                        extent: c(&[s, s]),
+                        members: (0..n)
+                            .map(|i| (h * n + i, c(&[(i / side) as u16, (i % side) as u16])))
+                            .collect(),
+                    },
+                    origin: c(&[h as u16 * s, 0]),
+                })
+                .collect();
+            let r = merge_blocks(
+                &topo,
+                &g,
+                &children,
+                &c(&[0, 0]),
+                &c(&[2 * s, s]),
+                &MergeOptions::default(),
+            );
+            assert_eq!(
+                r.candidates_evaluated,
+                per_child * per_child,
+                "{s}x{s} blocks"
+            );
+        }
     }
 
     #[test]

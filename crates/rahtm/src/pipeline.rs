@@ -71,10 +71,6 @@ pub struct RahtmConfig {
     /// Search tile shapes in phase 1 (ablation knob; `false` takes the
     /// first valid shape instead of the minimum-cut one).
     pub tiling_search: bool,
-    /// Greedy pairwise-swap polish proposals applied to the final
-    /// placement (§VI future-work refinement; 0 = off, the paper's
-    /// algorithm).
-    pub polish_swaps: usize,
     /// RNG seed for annealing.
     pub seed: u64,
     /// Wall-clock budget for the whole run (`None` = unlimited, fully
@@ -103,7 +99,6 @@ impl Default for RahtmConfig {
             anneal_iters: 20_000,
             cache_subproblems: true,
             tiling_search: true,
-            polish_swaps: 0,
             seed: 0xAB1E,
             time_limit: None,
             fault_plan: None,
@@ -152,7 +147,39 @@ pub struct DegradationReport {
     pub events: Vec<String>,
 }
 
+/// A rung of the sub-problem degradation ladder.
+enum Rung {
+    Milp,
+    Anneal,
+    Greedy,
+}
+
 impl DegradationReport {
+    /// Books one sub-problem of `clusters` clusters answered at `rung`, in
+    /// this report and in `recorder`'s journal together. `reason` explains
+    /// a downgrade (`rung` below the configured top level).
+    fn record_solve(
+        &mut self,
+        recorder: &Recorder,
+        rung: Rung,
+        clusters: u32,
+        reason: Option<String>,
+    ) {
+        let (count, counter) = match rung {
+            Rung::Milp => (&mut self.milp, counters::DEGRADE_MILP),
+            Rung::Anneal => (&mut self.anneal, counters::DEGRADE_ANNEAL),
+            Rung::Greedy => (&mut self.greedy, counters::DEGRADE_GREEDY),
+        };
+        *count += 1;
+        recorder.incr(counter);
+        if let Some(reason) = reason {
+            self.downgraded += 1;
+            recorder.incr(counters::DEGRADE_DOWNGRADED);
+            self.events
+                .push(format!("sub-problem ({clusters} clusters): {reason}"));
+        }
+    }
+
     /// Total fallbacks of any kind taken during the run.
     pub fn total_downgrades(&self) -> usize {
         self.downgraded + self.identity_merges + self.salvaged_workers
@@ -372,8 +399,8 @@ impl RahtmMapper {
 
         let mut stats = PhaseStats::default();
         let t_run = Instant::now();
-        // One stencil cache for the machine topology serves every merge,
-        // the polish pass, and the final MCL prediction of this run.
+        // One stencil cache for the machine topology serves every merge
+        // and the final MCL prediction of this run.
         let machine_stencils = Arc::new(RouteStencilCache::new(topo));
 
         // ---- Phase 1a: concentration clustering ----
@@ -497,11 +524,8 @@ impl RahtmMapper {
                         deadline,
                         recorder: self.recorder.clone(),
                         stencils: Some(Arc::clone(&machine_stencils)),
-                        // a slice block searches only axis flips when it has
-                        // more members than full_group_member_limit (64):
-                        // paper-16k's 256-member slices search the 16 flips,
-                        // mini-1k's 64-member slices the full 48-orientation
-                        // group
+                        // slice blocks above merge::FULL_GROUP_MEMBER_LIMIT
+                        // members search only the axis flips
                         ..Default::default()
                     },
                 );
@@ -531,25 +555,6 @@ impl RahtmMapper {
                 "final merged block left node-clusters unplaced",
             ));
         }
-        // optional §VI polish pass on the node-level placement
-        let node_of_cluster = if cfg.polish_swaps > 0 {
-            let tp = Instant::now();
-            let polished = crate::refine::polish_placement_with(
-                topo,
-                &g_node,
-                &node_of_cluster,
-                cfg.routing,
-                cfg.polish_swaps,
-                cfg.seed,
-                &machine_stencils,
-            )
-            .placement;
-            self.recorder
-                .record_span_secs(spans::POLISH, tp.elapsed().as_secs_f64());
-            polished
-        } else {
-            node_of_cluster
-        };
         let node_of_rank: Vec<NodeId> = conc_level
             .assignment
             .iter()
@@ -791,7 +796,6 @@ impl RahtmMapper {
                         recorder: self.recorder.clone(),
                         stencils: Some(Arc::clone(machine_stencils)),
                         thread_cap: core_share,
-                        ..Default::default()
                     },
                 );
                 stats.merge_candidates += res.candidates_evaluated;
@@ -834,17 +838,8 @@ impl RahtmMapper {
     }
 
     /// Solves one cluster-graph → cube sub-problem through the degradation
-    /// ladder, memoized on the graph's exact structure:
-    ///
-    /// 1. **MILP** — Table II with the SA incumbent (when `use_milp`);
-    ///    a timed-out or infeasible solve falls through to…
-    /// 2. **Annealing** — the incumbent itself (always computed first, so
-    ///    this rung is free); an already-expired deadline falls through to…
-    /// 3. **Greedy** — a deterministic volume-ordered placement that costs
-    ///    one sort.
-    ///
-    /// Every rung below the configured top level is recorded in
-    /// `stats.degradation`. The ladder always produces a valid placement.
+    /// ladder ([`Self::climb_ladder`]), memoized on the graph's exact
+    /// structure, and books the answering rung.
     #[allow(clippy::too_many_arguments)]
     fn solve_subproblem(
         &self,
@@ -878,21 +873,45 @@ impl RahtmMapper {
         stats.milp_solves += 1;
         self.recorder.incr(counters::SUBPROBLEMS_SOLVED);
 
+        let (placement, rung, reason) =
+            self.climb_ladder(cube, graph, stencils, stats, deadline, milp_threads, fault);
+        stats
+            .degradation
+            .record_solve(&self.recorder, rung, graph.num_ranks(), reason);
+        if cfg.cache_subproblems {
+            cache.lock().insert(key, placement.clone());
+        }
+        placement
+    }
+
+    /// The degradation ladder for one sub-problem. Returns the placement,
+    /// the rung that answered it, and the reason when that rung is below
+    /// the configured top level:
+    ///
+    /// 1. **MILP** — Table II with the SA incumbent (when `use_milp`);
+    ///    a timed-out or infeasible solve falls through to…
+    /// 2. **Annealing** — the incumbent itself (always computed first, so
+    ///    this rung is free); an already-expired deadline falls through to…
+    /// 3. **Greedy** — a deterministic volume-ordered placement that costs
+    ///    one sort.
+    ///
+    /// The ladder always produces a valid placement.
+    #[allow(clippy::too_many_arguments)]
+    fn climb_ladder(
+        &self,
+        cube: &Torus,
+        graph: &CommGraph,
+        stencils: &Arc<RouteStencilCache>,
+        stats: &mut PhaseStats,
+        deadline: Deadline,
+        milp_threads: usize,
+        fault: Option<Fault>,
+    ) -> (Vec<NodeId>, Rung, Option<String>) {
+        let cfg = &self.config;
         // Bottom rung: no time even for annealing.
         if deadline.is_expired() {
-            stats.degradation.greedy += 1;
-            stats.degradation.downgraded += 1;
-            self.recorder.incr(counters::DEGRADE_GREEDY);
-            self.recorder.incr(counters::DEGRADE_DOWNGRADED);
-            stats.degradation.events.push(format!(
-                "sub-problem ({} clusters): deadline expired, greedy placement",
-                graph.num_ranks()
-            ));
-            let placement = greedy_place(cube, graph);
-            if cfg.cache_subproblems {
-                cache.lock().insert(key, placement.clone());
-            }
-            return placement;
+            let reason = "deadline expired, greedy placement".to_string();
+            return (greedy_place(cube, graph), Rung::Greedy, Some(reason));
         }
 
         // Middle rung (and the MILP's warm incumbent): deadline-aware SA.
@@ -906,100 +925,73 @@ impl RahtmMapper {
                 deadline,
                 recorder: self.recorder.clone(),
                 stencils: Some(Arc::clone(stencils)),
-                ..Default::default()
             },
         );
         stats.anneal_accepted += sa.accepted;
         stats.anneal_rejected += sa.rejected;
-        let placement = if !cfg.use_milp {
+        if !cfg.use_milp {
             // annealing IS the configured top level here — not a downgrade
-            stats.degradation.anneal += 1;
-            self.recorder.incr(counters::DEGRADE_ANNEAL);
-            sa.placement
-        } else if fault == Some(Fault::Infeasible) {
-            stats.degradation.anneal += 1;
-            stats.degradation.downgraded += 1;
-            self.recorder.incr(counters::DEGRADE_ANNEAL);
-            self.recorder.incr(counters::DEGRADE_DOWNGRADED);
-            stats.degradation.events.push(format!(
-                "sub-problem ({} clusters): injected infeasibility, SA incumbent",
-                graph.num_ranks()
-            ));
-            sa.placement
+            return (sa.placement, Rung::Anneal, None);
+        }
+        if fault == Some(Fault::Infeasible) {
+            let reason = "injected infeasibility, SA incumbent".to_string();
+            return (sa.placement, Rung::Anneal, Some(reason));
+        }
+
+        // Top rung. An injected timeout hands the MILP an already expired
+        // deadline, exercising the real timeout path.
+        let milp_deadline = if fault == Some(Fault::SolverTimeout) {
+            Deadline::after(Duration::ZERO)
         } else {
-            // Top rung. An injected timeout hands the MILP an already
-            // expired deadline, exercising the real timeout path.
-            let milp_deadline = if fault == Some(Fault::SolverTimeout) {
-                Deadline::after(Duration::ZERO)
-            } else {
-                deadline
-            };
-            let milp_res = milp_map(
-                cube,
-                graph,
-                &MilpMapOptions {
-                    enforce_minimal: cfg.enforce_minimal,
-                    symmetry_break: true,
-                    incumbent: Some(sa.placement.clone()),
-                    milp: MilpOptions {
-                        max_nodes: cfg.milp_node_budget,
-                        threads: milp_threads,
-                        lp: SimplexOptions {
-                            max_iters: cfg.milp_lp_iters,
-                            deadline: milp_deadline,
-                            recorder: self.recorder.clone(),
-                            ..Default::default()
-                        },
+            deadline
+        };
+        let res = match milp_map(
+            cube,
+            graph,
+            &MilpMapOptions {
+                enforce_minimal: cfg.enforce_minimal,
+                symmetry_break: true,
+                incumbent: Some(sa.placement.clone()),
+                milp: MilpOptions {
+                    max_nodes: cfg.milp_node_budget,
+                    threads: milp_threads,
+                    lp: SimplexOptions {
+                        max_iters: cfg.milp_lp_iters,
+                        deadline: milp_deadline,
+                        recorder: self.recorder.clone(),
                         ..Default::default()
                     },
+                    ..Default::default()
                 },
-            );
-            match milp_res {
-                Ok(res) => {
-                    stats.milp_nodes += res.nodes;
-                    stats.milp_symmetry_pruned += res.symmetry_pruned;
-                    if res.deadline_hit {
-                        stats.degradation.anneal += 1;
-                        stats.degradation.downgraded += 1;
-                        self.recorder.incr(counters::DEGRADE_ANNEAL);
-                        self.recorder.incr(counters::DEGRADE_DOWNGRADED);
-                        stats.degradation.events.push(format!(
-                            "sub-problem ({} clusters): MILP deadline hit, kept incumbent",
-                            graph.num_ranks()
-                        ));
-                    } else {
-                        stats.degradation.milp += 1;
-                        self.recorder.incr(counters::DEGRADE_MILP);
-                    }
-                    // Keep whichever is better under the oblivious scoring
-                    // model (the MILP optimizes the LP split, SA the
-                    // uniform split).
-                    let milp_mcl = stencils
-                        .route_graph(cube, graph, &res.placement, cfg.routing)
-                        .mcl(cube);
-                    if milp_mcl <= sa.mcl + 1e-9 {
-                        res.placement
-                    } else {
-                        sa.placement
-                    }
-                }
-                Err(e) => {
-                    stats.degradation.anneal += 1;
-                    stats.degradation.downgraded += 1;
-                    self.recorder.incr(counters::DEGRADE_ANNEAL);
-                    self.recorder.incr(counters::DEGRADE_DOWNGRADED);
-                    stats.degradation.events.push(format!(
-                        "sub-problem ({} clusters): MILP failed ({e}), SA incumbent",
-                        graph.num_ranks()
-                    ));
-                    sa.placement
-                }
+            },
+        ) {
+            Ok(res) => res,
+            Err(e) => {
+                let reason = format!("MILP failed ({e}), SA incumbent");
+                return (sa.placement, Rung::Anneal, Some(reason));
             }
         };
-        if cfg.cache_subproblems {
-            cache.lock().insert(key, placement.clone());
-        }
-        placement
+        stats.milp_nodes += res.nodes;
+        stats.milp_symmetry_pruned += res.symmetry_pruned;
+        let (rung, reason) = if res.deadline_hit {
+            (
+                Rung::Anneal,
+                Some("MILP deadline hit, kept incumbent".to_string()),
+            )
+        } else {
+            (Rung::Milp, None)
+        };
+        // Keep whichever is better under the oblivious scoring model (the
+        // MILP optimizes the LP split, SA the uniform split).
+        let milp_mcl = stencils
+            .route_graph(cube, graph, &res.placement, cfg.routing)
+            .mcl(cube);
+        let placement = if milp_mcl <= sa.mcl + 1e-9 {
+            res.placement
+        } else {
+            sa.placement
+        };
+        (placement, rung, reason)
     }
 }
 
@@ -1244,25 +1236,6 @@ mod tests {
         let res = RahtmMapper::new(RahtmConfig::fast()).map(&machine, &g, None);
         assert!(res.mapping.nodes().iter().all(|&n| n == 0));
         assert_eq!(res.predicted_mcl, 0.0);
-    }
-
-    #[test]
-    fn polish_never_hurts_the_pipeline_output() {
-        let machine = BgqMachine::new(Torus::torus(&[4, 4]), 4, 4);
-        let g = patterns::random(64, 160, 1.0, 30.0, 99);
-        let base = RahtmMapper::new(RahtmConfig::fast()).map(&machine, &g, None);
-        let polished = RahtmMapper::new(RahtmConfig {
-            polish_swaps: 400,
-            ..RahtmConfig::fast()
-        })
-        .map(&machine, &g, None);
-        polished.mapping.validate(&machine);
-        assert!(
-            polished.predicted_mcl <= base.predicted_mcl + 1e-9,
-            "polish {} vs base {}",
-            polished.predicted_mcl,
-            base.predicted_mcl
-        );
     }
 
     #[test]

@@ -352,20 +352,6 @@ impl IncrementalLoads {
         self.max_norm
     }
 
-    /// `(channel, normalized load)` of the most loaded channel, with
-    /// [`crate::ChannelLoads::argmax`]'s scan order and tie-break (first
-    /// maximum wins).
-    pub fn argmax(&self) -> Option<(ChannelId, f64)> {
-        let mut best: Option<(ChannelId, f64)> = None;
-        for &(slot, w) in &self.chan_widths {
-            let v = self.sums[slot as usize] / w;
-            if best.is_none_or(|(_, bv)| v > bv) {
-                best = Some((slot, v));
-            }
-        }
-        best
-    }
-
     /// Raw load on a channel slot.
     #[inline]
     pub fn get(&self, ch: ChannelId) -> f64 {
@@ -408,7 +394,6 @@ mod tests {
         let scratch = route_graph(topo, graph, placement, routing);
         assert_eq!(scratch.as_slice(), inc.as_slice(), "per-slot sums diverged");
         assert_eq!(scratch.mcl(topo), inc.mcl(), "mcl diverged");
-        assert_eq!(scratch.argmax(topo), inc.argmax(), "argmax diverged");
     }
 
     /// Stages the re-route of every flow incident to `a` or `b` after a
