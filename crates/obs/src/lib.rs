@@ -44,6 +44,9 @@ pub mod counters {
     pub const ANNEAL_REJECTED: &str = "anneal.moves_rejected";
     /// Orientation candidates scored by the merge beam search.
     pub const MERGE_CANDIDATES_EVALUATED: &str = "merge.candidates_evaluated";
+    /// Step-0 merge candidates ranked as symmetry images of a scored one,
+    /// without scoring.
+    pub const MERGE_CANDIDATES_SKIPPED: &str = "merge.candidates_skipped";
     /// Candidates surviving beam truncation (beam entries carried forward).
     pub const MERGE_CANDIDATES_KEPT: &str = "merge.candidates_kept";
     /// Total orientation-set sizes considered across merged children.

@@ -46,6 +46,7 @@ pub mod error;
 pub mod fattree;
 pub mod fault;
 pub mod mapping;
+mod memo;
 pub mod merge;
 pub mod milp;
 pub mod opportunity;

@@ -11,6 +11,14 @@
 //! paper's key knob — it fixes `N = 64`; `N = 1` degenerates to the pure
 //! greedy the paper argues against, and the ablation bench sweeps it.
 //!
+//! Step 0 scores the pair on an empty machine, so two orientation pairs
+//! that differ by a machine automorphism acting on both children in
+//! place score the same MCL bits. Step 0 therefore scores one pair per
+//! orbit of that symmetry group (see `step0_symmetry`) and ranks each
+//! orbit's other pairs with the copied score: the ranked list, and so the
+//! result, is the exhaustive one. At mini-1k the slice merge scores 48 of
+//! its 2304 pairs and each side-4 step 0 scores 144 of 2304.
+//!
 //! Evaluation is incremental: each beam entry carries its accumulated
 //! channel loads; a candidate's MCL is computed by routing only the flows
 //! *incident to the incoming children* into a scratch accumulator and
@@ -25,6 +33,7 @@ use rahtm_lp::Deadline;
 use rahtm_obs::{counters, Recorder};
 use rahtm_routing::{ChannelLoads, RouteStencilCache, Routing};
 use rahtm_topology::{ChannelId, Coord, NodeId, Orientation, Torus};
+use std::collections::HashMap;
 use std::panic::resume_unwind;
 use std::sync::Arc;
 
@@ -34,8 +43,10 @@ const UNPLACED: NodeId = NodeId::MAX;
 /// permutation) instead of the full hyperoctahedral group. This bounds the
 /// cost of merging very large blocks: in practice only the final
 /// machine-level merge of whole slices, and only once a slice holds more
-/// than 64 node-clusters. Paper-16k's 256-member slices search the 16
-/// flips; mini-1k's 64-member slices still search all 48 orientations.
+/// than 64 node-clusters. Paper-16k's 256-member slices rank the 16² flip
+/// pairs and, with all 16 flips in the step-0 symmetry group, score 16 of
+/// them; the full group would score 384 (its 384² pairs over |H| = 384).
+/// Mini-1k's 64-member slices rank all 48² pairs and score 48.
 const FULL_GROUP_MEMBER_LIMIT: usize = 64;
 
 /// Merge-phase knobs.
@@ -94,8 +105,11 @@ pub struct MergeResult {
     pub block: Block,
     /// MCL of the parent's internal traffic under the chosen orientations.
     pub mcl: f64,
-    /// Orientation candidates evaluated.
+    /// Orientation candidates scored.
     pub candidates_evaluated: usize,
+    /// Step-0 candidates ranked without scoring: symmetry images of a
+    /// scored candidate, which share its MCL bit for bit.
+    pub candidates_skipped: usize,
     /// Candidates surviving beam truncation across all steps (the beam
     /// entries actually carried forward).
     pub candidates_kept: usize,
@@ -159,6 +173,7 @@ pub fn merge_blocks(
             block: composed,
             mcl,
             candidates_evaluated: 0,
+            candidates_skipped: 0,
             candidates_kept: 0,
             deadline_hit: expired_on_entry,
         };
@@ -167,22 +182,8 @@ pub fn merge_blocks(
     let nclusters = graph.num_ranks() as usize;
     let chans: Vec<(ChannelId, f64)> = topo.channels().map(|c| (c.id, c.width)).collect();
 
-    // Orientation list per child.
-    let orient_sets: Vec<Vec<Orientation>> = children
-        .iter()
-        .map(|c| {
-            let extent = &c.block.extent;
-            let mut os = Orientation::enumerate_for(extent);
-            // dedupe: flipping an extent-1 output dimension is a no-op
-            os.retain(|o| (0..o.ndims()).all(|d| extent.get(o.perm(d)) > 1 || !o.flipped(d)));
-            if c.block.members.len() > FULL_GROUP_MEMBER_LIMIT {
-                // large block: axis flips only (identity permutation)
-                os.retain(|o| (0..o.ndims()).all(|d| o.perm(d) == d));
-            }
-            debug_assert!(!os.is_empty());
-            os
-        })
-        .collect();
+    let orient_sets: Vec<Vec<Orientation>> =
+        children.iter().map(|c| orientations(&c.block)).collect();
 
     // child index of each cluster inside the parent (UNSET = outside)
     let mut child_of = vec![UNSET; nclusters];
@@ -227,6 +228,7 @@ pub fn merge_blocks(
     );
 
     let mut candidates_evaluated = 0usize;
+    let mut candidates_skipped = 0usize;
     let mut candidates_kept = 0usize;
     let mut deadline_polls = 1usize; // the entry check above
     let mut deadline_hit = false;
@@ -277,68 +279,91 @@ pub fn merge_blocks(
 
         // Candidates are (entry, combo) with `combo` a row-major index into
         // the product of the incoming orientation sets, flattened entry-major.
-        // Workers score contiguous runs of that index (each with its own
-        // scratch accumulator and positions array); the sort after makes
-        // the result independent of the split.
+        // Step 0 scores one combo per orbit of its symmetry group and copies
+        // each score to the rest of the orbit (see `step0_symmetry`); later
+        // steps score every candidate. Workers score contiguous runs of the
+        // `scored` list; the sort after makes the result independent of the
+        // split.
         let combos: usize = incoming.iter().map(|&c| orient_sets[c].len()).product();
         let total = beam.len() * combos;
+        let rep_of = match step {
+            0 => step0_orbits(topo, opts.routing, children, incoming, &orient_sets),
+            _ => None,
+        };
+        let scored: Vec<usize> = match &rep_of {
+            Some(rep_of) => (0..total).filter(|&k| rep_of[k] == k).collect(),
+            None => (0..total).collect(),
+        };
         let last_orients = orient_sets[incoming[incoming.len() - 1]].len();
-        let n_threads = crate::cores::workers_for(total / last_orients, opts.thread_cap);
-        let chunk = total.div_ceil(n_threads);
-        let mut ranked: Vec<(f64, usize, usize)> = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = (0..n_threads)
-                .map(|t| {
-                    let (lo, hi) = ((t * chunk).min(total), ((t + 1) * chunk).min(total));
-                    let (beam, placed, route) = (&beam, &placed, &route);
-                    let (positions, chans, orient_sets) = (&positions, &chans, &orient_sets);
-                    scope.spawn(move |_| {
-                        // no un-setting needed: every candidate sets each
-                        // placed and incoming member the incident flows read
-                        let mut node_of = vec![UNPLACED; nclusters];
-                        let mut choices = vec![UNSET; children.len()];
-                        let mut scratch = ChannelLoads::new(topo);
-                        let mut out = Vec::with_capacity(hi - lo);
-                        let mut entry_set = UNSET;
-                        for k in lo..hi {
-                            let (ei, combo) = (k / combos, k % combos);
-                            let entry = &beam[ei];
-                            if ei != entry_set {
-                                for &c in placed {
-                                    place(&mut node_of, &positions[c][entry.choices[c]]);
-                                }
-                                entry_set = ei;
-                            }
-                            decode_combo(combo, incoming, orient_sets, &mut choices);
-                            for &c in incoming {
-                                place(&mut node_of, &positions[c][choices[c]]);
-                            }
-                            scratch.clear();
-                            route(&node_of, &mut scratch);
-                            // incremental MCL: untouched channels keep the
-                            // entry's loads
-                            let mut mcl = entry.mcl;
-                            for &(id, w) in chans {
-                                let add = scratch.get(id);
-                                if add > 0.0 {
-                                    let v = (entry.loads.get(id) + add) / w;
-                                    if v > mcl {
-                                        mcl = v;
-                                    }
-                                }
-                            }
-                            out.push((mcl, ei, combo));
+        let n_threads = crate::cores::workers_for(scored.len() / last_orients, opts.thread_cap);
+        let chunk = scored.len().div_ceil(n_threads);
+        // one run of the `scored` list, with its own scratch accumulator
+        // and positions array
+        let score_run = |run: &[usize]| {
+            // no un-setting needed: every candidate sets each placed and
+            // incoming member the incident flows read
+            let mut node_of = vec![UNPLACED; nclusters];
+            let mut choices = vec![UNSET; children.len()];
+            let mut scratch = ChannelLoads::new(topo);
+            let mut out = Vec::with_capacity(run.len());
+            let mut entry_set = UNSET;
+            for &k in run {
+                let (ei, combo) = (k / combos, k % combos);
+                let entry = &beam[ei];
+                if ei != entry_set {
+                    for &c in &placed {
+                        place(&mut node_of, &positions[c][entry.choices[c]]);
+                    }
+                    entry_set = ei;
+                }
+                decode_combo(combo, incoming, &orient_sets, &mut choices);
+                for &c in incoming {
+                    place(&mut node_of, &positions[c][choices[c]]);
+                }
+                scratch.clear();
+                route(&node_of, &mut scratch);
+                // incremental MCL: untouched channels keep the entry's loads
+                let mut mcl = entry.mcl;
+                for &(id, w) in &chans {
+                    let add = scratch.get(id);
+                    if add > 0.0 {
+                        let v = (entry.loads.get(id) + add) / w;
+                        if v > mcl {
+                            mcl = v;
                         }
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().unwrap_or_else(|p| resume_unwind(p)))
-                .collect()
-        })
-        .unwrap_or_else(|p| resume_unwind(p));
-        candidates_evaluated += ranked.len();
+                    }
+                }
+                out.push((mcl, ei, combo));
+            }
+            out
+        };
+        // a single worker runs on the calling thread
+        let mut ranked: Vec<(f64, usize, usize)> = if n_threads == 1 {
+            score_run(&scored)
+        } else {
+            crossbeam::thread::scope(|scope| {
+                let score_run = &score_run;
+                let handles: Vec<_> = scored
+                    .chunks(chunk)
+                    .map(|run| scope.spawn(move |_| score_run(run)))
+                    .collect();
+                handles
+                    .into_iter()
+                    .flat_map(|h| h.join().unwrap_or_else(|p| resume_unwind(p)))
+                    .collect()
+            })
+            .unwrap_or_else(|p| resume_unwind(p))
+        };
+        candidates_evaluated += scored.len();
+        candidates_skipped += total - scored.len();
+        if let Some(rep_of) = rep_of {
+            // step 0 has one beam entry, so a candidate index is its combo
+            let mut score = vec![0.0; total];
+            for &(mcl, _, combo) in &ranked {
+                score[combo] = mcl;
+            }
+            ranked = (0..total).map(|k| (score[rep_of[k]], 0, k)).collect();
+        }
         ranked.sort_by(|x, y| {
             x.0.total_cmp(&y.0)
                 .then(x.1.cmp(&y.1))
@@ -407,6 +432,8 @@ pub fn merge_blocks(
     opts.recorder
         .add(counters::MERGE_CANDIDATES_EVALUATED, candidates_evaluated as u64);
     opts.recorder
+        .add(counters::MERGE_CANDIDATES_SKIPPED, candidates_skipped as u64);
+    opts.recorder
         .add(counters::MERGE_CANDIDATES_KEPT, candidates_kept as u64);
     opts.recorder.add(counters::DEADLINE_CHECKS, deadline_polls as u64);
     if deadline_hit {
@@ -416,6 +443,7 @@ pub fn merge_blocks(
         block: composed,
         mcl,
         candidates_evaluated,
+        candidates_skipped,
         candidates_kept,
         deadline_hit,
     }
@@ -435,6 +463,132 @@ fn decode_combo(
         choices[c] = combo % n;
         combo /= n;
     }
+}
+
+/// The orientations a child block is searched over: its extent-preserving
+/// hyperoctahedral group, without flips of extent-1 dimensions (no-ops),
+/// and only the axis flips for blocks above [`FULL_GROUP_MEMBER_LIMIT`].
+/// The identity is always first.
+fn orientations(block: &Block) -> Vec<Orientation> {
+    let extent = &block.extent;
+    let mut os = Orientation::enumerate_for(extent);
+    os.retain(|o| (0..o.ndims()).all(|d| extent.get(o.perm(d)) > 1 || !o.flipped(d)));
+    if block.members.len() > FULL_GROUP_MEMBER_LIMIT {
+        os.retain(|o| (0..o.ndims()).all(|d| o.perm(d) == d));
+    }
+    os
+}
+
+/// For each step-0 combo (row-major over the orientation sets of
+/// `pair = order[0..2]`), the smallest combo in its orbit under the step-0
+/// symmetry group ([`step0_symmetry`]); `None` when that group is trivial.
+fn step0_orbits(
+    topo: &Torus,
+    routing: Routing,
+    children: &[PositionedBlock],
+    pair: &[usize],
+    orient_sets: &[Vec<Orientation>],
+) -> Option<Vec<usize>> {
+    let images = step0_symmetry(topo, routing, children, pair, orient_sets);
+    if images.len() <= 1 {
+        return None;
+    }
+    // combos in increasing order: the first one an orbit reaches is its
+    // smallest, and it claims the whole orbit
+    let (n0, n1) = (orient_sets[pair[0]].len(), orient_sets[pair[1]].len());
+    let mut rep_of = vec![UNSET; n0 * n1];
+    for k in 0..n0 * n1 {
+        if rep_of[k] == UNSET {
+            for [ia, ib] in &images {
+                rep_of[ia[k / n1] * n1 + ib[k % n1]] = k;
+            }
+        }
+    }
+    Some(rep_of)
+}
+
+/// The step-0 symmetry group H of a merge, as orientation-index images:
+/// for each h in H, `[ia, ib]` maps an orientation index of child `pair[0]`
+/// (resp. `pair[1]`) to the index of that orientation followed by h.
+///
+/// H holds the orientations h, in both children's sets, such that
+/// re-orienting each child by h inside its own box is one automorphism of
+/// the machine ([`moves_as_one`]) under which the routing model's loads
+/// are equal bit for bit. Step 0 routes only the two children's mutual
+/// traffic onto an empty machine, so combos `(a, b)` and `(a·h, b·h)` then
+/// score the same MCL bits. Empty when only the identity could qualify:
+/// under [`Routing::DimOrder`] (fixed axis order, positive tie-break) and
+/// for children of unequal extents.
+fn step0_symmetry(
+    topo: &Torus,
+    routing: Routing,
+    children: &[PositionedBlock],
+    pair: &[usize],
+    orient_sets: &[Vec<Orientation>],
+) -> Vec<[Vec<usize>; 2]> {
+    let (c0, c1) = (&children[pair[0]], &children[pair[1]]);
+    if routing == Routing::DimOrder || c0.block.extent != c1.block.extent {
+        return Vec::new();
+    }
+    // A dimension permutation reorders the per-dimension ln k! terms the
+    // uniform-minimal split sums; with at most 2 hops per dimension every
+    // term is 0 or ln 2, so the sums keep their bits. Reflections never
+    // reorder them.
+    let short_hops = (0..topo.ndims()).all(|d| {
+        let k = topo.dim(d);
+        (if topo.wraps(d) { k / 2 } else { k - 1 }) <= 2
+    });
+    let index: Vec<HashMap<Orientation, usize>> = pair
+        .iter()
+        .map(|&c| orient_sets[c].iter().enumerate().map(|(i, &o)| (o, i)).collect())
+        .collect();
+    let images = |c: usize, h: &Orientation| -> Option<Vec<usize>> {
+        orient_sets[pair[c]].iter().map(|a| index[c].get(&a.then(h)).copied()).collect()
+    };
+    orient_sets[pair[0]]
+        .iter()
+        .filter(|h| moves_as_one(topo, h, c0, c1, short_hops))
+        .filter_map(|h| Some([images(0, h)?, images(1, h)?]))
+        .collect()
+}
+
+/// Whether re-orienting `c0` and `c1` (equal extents) by `h` inside their
+/// own boxes is the restriction of one machine automorphism
+/// `x ↦ y`, `y[d] = ±x[h.perm(d)] + t[d]`. On each child the map sends
+/// `x[p]` to `o[d] + (x[p] − o[p])`, or `o[d] + e[d] − 1 − (x[p] − o[p])`
+/// mirrored, so `t[d]` must agree between the children (mod the ring
+/// length on a wrapped dimension). An unwrapped dimension only admits
+/// `t = 0` or the whole-dimension reflection `t = k − 1`. A permuted pair
+/// of dimensions must match in size, wrap and width, and needs
+/// `short_hops` (see [`step0_symmetry`]).
+fn moves_as_one(
+    topo: &Torus,
+    h: &Orientation,
+    c0: &PositionedBlock,
+    c1: &PositionedBlock,
+    short_hops: bool,
+) -> bool {
+    (0..topo.ndims()).all(|d| {
+        let (p, flip) = (h.perm(d), h.flipped(d));
+        let alike = topo.dim(p) == topo.dim(d)
+            && topo.wraps(p) == topo.wraps(d)
+            && topo.dim_width(p) == topo.dim_width(d);
+        if p != d && !(short_hops && alike) {
+            return false;
+        }
+        let offset = |c: &PositionedBlock| {
+            let (od, op) = (i64::from(c.origin.get(d)), i64::from(c.origin.get(p)));
+            match flip {
+                true => od + op + i64::from(c.block.extent.get(d)) - 1,
+                false => od - op,
+            }
+        };
+        let (t0, t1, k) = (offset(c0), offset(c1), i64::from(topo.dim(d)));
+        match topo.wraps(d) {
+            true => (t0 - t1).rem_euclid(k) == 0,
+            false => t0 == t1 && t0 == if flip { k - 1 } else { 0 },
+        }
+    })
 }
 
 /// Records each member's node in `node_of`.
@@ -728,9 +882,11 @@ mod tests {
                 &c(&[2 * s, s]),
                 &MergeOptions::default(),
             );
+            // only the whole-column flip x[1] -> s-1-x[1] is a machine
+            // automorphism: step 0 scores half the pairs
             assert_eq!(
-                r.candidates_evaluated,
-                per_child * per_child,
+                (r.candidates_evaluated, r.candidates_skipped),
+                (per_child * per_child / 2, per_child * per_child / 2),
                 "{s}x{s} blocks"
             );
         }
@@ -899,13 +1055,13 @@ mod tests {
         merge_blocks(topo, &g, &children, &zero, &c(topo.dims()), opts)
     }
 
-    /// `(mcl bits, candidates evaluated, candidates kept, node of each
-    /// member in cluster order)`.
-    fn fingerprint(topo: &Torus, r: &MergeResult) -> (u64, usize, usize, Vec<NodeId>) {
+    /// `(mcl bits, candidates evaluated, candidates skipped, candidates
+    /// kept, node of each member in cluster order)`.
+    fn fingerprint(topo: &Torus, r: &MergeResult) -> (u64, usize, usize, usize, Vec<NodeId>) {
         let mut members = r.block.members.clone();
         members.sort_by_key(|&(m, _)| m);
         let nodes = members.iter().map(|(_, x)| topo.node_id(x)).collect();
-        (r.mcl.to_bits(), r.candidates_evaluated, r.candidates_kept, nodes)
+        (r.mcl.to_bits(), r.candidates_evaluated, r.candidates_skipped, r.candidates_kept, nodes)
     }
 
     #[test]
@@ -930,17 +1086,18 @@ mod tests {
 
     /// Pinned merge outputs: the MCL bits, the candidate counts and every
     /// member's node. A change to scoring, ranking or tie-breaks shows
-    /// here.
+    /// here. `ranked` (scored + skipped) is the count the exhaustive step 0
+    /// scored: the orbit rule changes only how many are scored.
     #[test]
     fn pinned_merges() {
-        // (machine, block extent, mcl bits, evaluated, kept, member nodes)
-        type Pin = (Torus, &'static [u16], u64, usize, usize, &'static [NodeId]);
+        // (machine, block extent, mcl bits, (scored, ranked), kept, member nodes)
+        type Pin = (Torus, &'static [u16], u64, (usize, usize), usize, &'static [NodeId]);
         let cases: [Pin; 3] = [
             (
                 Torus::torus(&[4, 4]),
                 &[2, 2],
                 0x404224276985dbb9,
-                1088,
+                (1040, 1088),
                 192,
                 &[
                     1, 5, 0, 4, 3, 7, 2, 6, 13, 9, 12, 8, 11, 15, 10, 14,
@@ -950,7 +1107,8 @@ mod tests {
                 Torus::torus(&[4, 4, 4]),
                 &[2, 2, 2],
                 0x404121ed414c9cd3,
-                20736,
+                // the first pair is diagonal: H is the whole group
+                (18480, 20736),
                 448,
                 &[
                     4, 20, 5, 21, 0, 16, 1, 17, 18, 2, 19, 3, 22, 6, 23, 7, 8, 9, 12, 13, 24,
@@ -960,12 +1118,13 @@ mod tests {
                 ],
             ),
             // the final slice merge of two 64-member blocks: the full
-            // 48-orientation group on both sides
+            // 48-orientation group on both sides; the 8-ring admits no
+            // dimension permutation into H, so |H| = 8 flips
             (
                 Torus::torus(&[8, 4, 4]),
                 &[4, 4, 4],
                 0x4050b2305323e17e,
-                2304,
+                (288, 2304),
                 64,
                 &[
                     63, 62, 61, 60, 59, 58, 57, 56, 55, 54, 53, 52, 51, 50, 49, 48, 47, 46, 45,
@@ -979,10 +1138,164 @@ mod tests {
                 ],
             ),
         ];
-        for (topo, bext, bits, evaluated, kept, nodes) in &cases {
-            let got = fingerprint(topo, &tiled_merge(topo, bext, &MergeOptions::default()));
-            assert_eq!(got, (*bits, *evaluated, *kept, nodes.to_vec()), "blocks {bext:?}");
+        for (topo, bext, bits, (scored, ranked), kept, nodes) in &cases {
+            let (got_bits, evaluated, skipped, got_kept, got_nodes) =
+                fingerprint(topo, &tiled_merge(topo, bext, &MergeOptions::default()));
+            assert_eq!(
+                (got_bits, evaluated, evaluated + skipped, got_kept, got_nodes),
+                (*bits, *scored, *ranked, *kept, nodes.to_vec()),
+                "blocks {bext:?}"
+            );
         }
+    }
+
+    /// Step-0 MCL of orientation pair `(a, b)` of a two-child merge: the
+    /// pair's mutual traffic routed onto an empty machine.
+    fn pair_mcl(
+        topo: &Torus,
+        g: &CommGraph,
+        children: &[PositionedBlock],
+        pick: [&Orientation; 2],
+    ) -> f64 {
+        let zero = c(&vec![0; topo.ndims()]);
+        let composed = Block::compose(
+            &zero,
+            &c(topo.dims()),
+            &[0, 1].map(|i| (children[i].block.reoriented(pick[i]), children[i].origin)),
+        );
+        let cache = RouteStencilCache::new(topo);
+        block_mcl(topo, g, &composed, &zero, Routing::UniformMinimal, &cache)
+    }
+
+    /// Two-slice machines: the slices are `[.., .., 1]` blocks stacked on
+    /// the last dimension. Wrapped, mixed-wrap and mesh.
+    fn two_slice_machines() -> [Torus; 3] {
+        [
+            Torus::torus(&[4, 4, 2]),
+            Torus::with_wraps(&[4, 4, 2], &[true, false, true]),
+            Torus::mesh(&[4, 4, 2]),
+        ]
+    }
+
+    /// (a) The orbit-reduced merge finds the block and MCL bits of an
+    /// exhaustive search over all |G|² orientation pairs, scored by
+    /// `block_mcl`, with the first minimum in combo order winning.
+    #[test]
+    fn orbit_reduced_merge_matches_brute_force() {
+        for topo in two_slice_machines() {
+            for seed in 1..=4 {
+                let children = tiled_children(&topo, &[4, 4, 1]);
+                let g = patterns::random(32, 96, 1.0, 20.0, seed);
+                let os0 = orientations(&children[0].block);
+                let os1 = orientations(&children[1].block);
+                let mut best: Option<(f64, [usize; 2])> = None;
+                for a in 0..os0.len() {
+                    for b in 0..os1.len() {
+                        let mcl = pair_mcl(&topo, &g, &children, [&os0[a], &os1[b]]);
+                        if best.is_none_or(|(m, _)| mcl.total_cmp(&m).is_lt()) {
+                            best = Some((mcl, [a, b]));
+                        }
+                    }
+                }
+                let (mcl, [a, b]) = best.expect("non-empty orientation sets");
+                let zero = c(&[0, 0, 0]);
+                let exhaustive = Block::compose(
+                    &zero,
+                    &c(topo.dims()),
+                    &[
+                        (children[0].block.reoriented(&os0[a]), children[0].origin),
+                        (children[1].block.reoriented(&os1[b]), children[1].origin),
+                    ],
+                );
+                let opts = MergeOptions::default();
+                let r = merge_blocks(&topo, &g, &children, &zero, &c(topo.dims()), &opts);
+                assert!(r.candidates_skipped > 0, "{topo:?}: no orbit reduction");
+                assert_eq!(r.candidates_evaluated + r.candidates_skipped, os0.len() * os1.len());
+                assert_eq!(r.mcl.to_bits(), mcl.to_bits(), "{topo:?} seed {seed}");
+                assert_eq!(r.block, exhaustive, "{topo:?} seed {seed}");
+            }
+        }
+    }
+
+    /// The orientations of the step-0 symmetry group of `children[0..2]`,
+    /// read back from the index images (the identity is index 0).
+    fn symmetry_of(
+        topo: &Torus,
+        routing: Routing,
+        children: &[PositionedBlock],
+    ) -> Vec<Orientation> {
+        let sets: Vec<Vec<Orientation>> =
+            children.iter().map(|ch| orientations(&ch.block)).collect();
+        step0_symmetry(topo, routing, children, &[0, 1], &sets)
+            .iter()
+            .map(|[ia, _]| sets[0][ia[0]])
+            .collect()
+    }
+
+    /// (b) Every h in H maps each step-0 pair to one with the same MCL
+    /// bits.
+    #[test]
+    fn step0_scores_are_invariant_under_the_symmetry_group() {
+        let machines = two_slice_machines()
+            .into_iter()
+            .map(|t| (t, vec![4u16, 4, 1]))
+            .chain([
+                (Torus::torus(&[4, 2]), vec![2, 2]),
+                (Torus::torus(&[4, 4, 4]), vec![4, 4, 2]),
+            ]);
+        for (topo, bext) in machines {
+            let children = tiled_children(&topo, &bext);
+            let n: u32 = children.iter().map(|ch| ch.block.members.len() as u32).sum();
+            let g = patterns::random(n, 3 * n as usize, 1.0, 20.0, 5);
+            let sets: Vec<Vec<Orientation>> =
+                children.iter().map(|ch| orientations(&ch.block)).collect();
+            let images = step0_symmetry(&topo, Routing::UniformMinimal, &children, &[0, 1], &sets);
+            assert!(images.len() > 1, "{topo:?}: trivial H");
+            for a in 0..sets[0].len() {
+                for b in 0..sets[1].len() {
+                    let mcl = pair_mcl(&topo, &g, &children, [&sets[0][a], &sets[1][b]]);
+                    for [ia, ib] in &images {
+                        let pick = [&sets[0][ia[a]], &sets[1][ib[b]]];
+                        let image = pair_mcl(&topo, &g, &children, pick);
+                        assert_eq!(mcl.to_bits(), image.to_bits(), "{topo:?} pair ({a}, {b})");
+                    }
+                }
+            }
+        }
+    }
+
+    /// (c) Where the machine or the routing breaks the symmetry, H leaves
+    /// it out.
+    #[test]
+    fn symmetry_group_excludes_non_automorphisms() {
+        // dimension-order routing: fixed axis order, positive tie-break
+        let topo = Torus::torus(&[4, 4, 2]);
+        let children = tiled_children(&topo, &[4, 4, 1]);
+        assert!(symmetry_of(&topo, Routing::DimOrder, &children).is_empty());
+        assert_eq!(symmetry_of(&topo, Routing::UniformMinimal, &children).len(), 8);
+
+        // 2-blocks side by side on a 4-wide mesh dimension: mirroring each
+        // block in place is no reflection of the whole line
+        let topo = Torus::mesh(&[4, 2]);
+        let h = symmetry_of(&topo, Routing::UniformMinimal, &tiled_children(&topo, &[2, 2]));
+        assert_eq!(h.len(), 2, "identity and the whole-column flip: {h:?}");
+        assert!(h.iter().all(|o| !o.flipped(0)), "{h:?}");
+
+        // on an 8-ring a dimension permutation could reorder the path-count
+        // terms: flips only
+        let topo = Torus::torus(&[8, 4, 4]);
+        let h = symmetry_of(&topo, Routing::UniformMinimal, &tiled_children(&topo, &[4, 4, 4]));
+        assert_eq!(h.len(), 8);
+        assert!(h.iter().all(|o| (0..3).all(|d| o.perm(d) == d)), "{h:?}");
+
+        // unequal extents (a 1x4 column beside a 2x4 block): no reduction
+        let topo = Torus::torus(&[4, 4]);
+        let mut children = tiled_children(&topo, &[2, 4]);
+        children[0].block = Block {
+            extent: c(&[1, 4]),
+            members: (0..4).map(|i| (i, c(&[0, i as u16]))).collect(),
+        };
+        assert!(symmetry_of(&topo, Routing::UniformMinimal, &children).is_empty());
     }
 
     use rahtm_commgraph::CommGraph;

@@ -27,6 +27,7 @@ use crate::cluster::{build_hierarchy_with, cluster_level, cluster_level_with, Le
 use crate::error::{panic_message, RahtmError};
 use crate::fault::{Fault, FaultPlan};
 use crate::mapping::TaskMapping;
+use crate::memo::SingleFlight;
 use crate::merge::{merge_blocks, MergeOptions, PositionedBlock};
 use crate::milp::{milp_map, MilpMapOptions};
 use rahtm_commgraph::{CommGraph, Rank, RankGrid};
@@ -34,7 +35,6 @@ use rahtm_lp::{Deadline, MilpOptions, SimplexOptions};
 use rahtm_obs::{counters, gauges, spans, Journal, Recorder};
 use rahtm_routing::{RouteStencilCache, Routing};
 use rahtm_topology::{BgqMachine, Coord, NodeId, SubCube, Torus};
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -424,8 +424,8 @@ impl RahtmMapper {
         // share — the three layers of parallelism never multiply.
         let slice_core_share = crate::cores::share(slices.len());
         let milp_threads = crate::cores::resolve(cfg.milp_threads, slices.len());
-        let cache: Mutex<HashMap<SubKey, Vec<NodeId>>> = Mutex::new(HashMap::new());
-        let merge_cache: Mutex<HashMap<MergeKey, Vec<Coord>>> = Mutex::new(HashMap::new());
+        let cache: SingleFlight<SubKey, Vec<NodeId>> = SingleFlight::new();
+        let merge_cache: SingleFlight<MergeKey, Vec<Coord>> = SingleFlight::new();
         type SliceOutcome =
             Result<(PositionedBlock, PhaseStats), Box<dyn std::any::Any + Send + 'static>>;
         // One slice's phases 2+3; both the scoped workers and the panic
@@ -592,8 +592,8 @@ impl RahtmMapper {
         sgrid: &RankGrid,
         members: &[Rank],
         g_node: &CommGraph,
-        cache: &Mutex<HashMap<SubKey, Vec<NodeId>>>,
-        merge_cache: &Mutex<HashMap<MergeKey, Vec<Coord>>>,
+        cache: &SingleFlight<SubKey, Vec<NodeId>>,
+        merge_cache: &SingleFlight<MergeKey, Vec<Coord>>,
         machine_stencils: &Arc<RouteStencilCache>,
         stats: &mut PhaseStats,
         deadline: Deadline,
@@ -762,64 +762,56 @@ impl RahtmMapper {
             // relative structure share one merge solve (across slices too).
             for (key, mut children) in grouped {
                 children.sort_by_key(|c| c.origin.as_slice().to_vec());
-                let (mkey, canon_ids) = merge_key(g_node, &children, &key, &parent_extent);
-                if cfg.cache_subproblems {
-                    if let Some(coords) = merge_cache.lock().get(&mkey).cloned().as_ref() {
+                let merge = |stats: &mut PhaseStats| {
+                    self.recorder.incr(counters::MERGE_CACHE_MISSES);
+                    let res = merge_blocks(
+                        topo,
+                        g_node,
+                        &children,
+                        &key,
+                        &parent_extent,
+                        &MergeOptions {
+                            beam_width: cfg.beam_width,
+                            routing: cfg.routing,
+                            deadline,
+                            recorder: self.recorder.clone(),
+                            stencils: Some(Arc::clone(machine_stencils)),
+                            thread_cap: core_share,
+                        },
+                    );
+                    stats.merge_candidates += res.candidates_evaluated;
+                    stats.merge_kept += res.candidates_kept;
+                    self.recorder.gauge(&gauges::merge_mcl(sb), res.mcl);
+                    if res.deadline_hit {
+                        stats.degradation.identity_merges += 1;
+                        stats.degradation.events.push(format!(
+                            "merge of {} blocks (side {sb}): deadline hit, identity composition",
+                            children.len()
+                        ));
+                    }
+                    res.block
+                };
+                let block = if cfg.cache_subproblems {
+                    let (mkey, canon_ids) = merge_key(g_node, &children, &key, &parent_extent);
+                    // coords are stored in canonical member order
+                    let (coords, hit) = merge_cache.get_or_compute(mkey, || {
+                        let coord_of: HashMap<Rank, Coord> =
+                            merge(stats).members.into_iter().collect();
+                        canon_ids.iter().map(|id| coord_of[id]).collect()
+                    });
+                    if hit {
                         stats.merge_cache_hits += 1;
                         self.recorder.incr(counters::MERGE_CACHE_HITS);
-                        let members = canon_ids
-                            .iter()
-                            .zip(coords)
-                            .map(|(&id, &c)| (id, c))
-                            .collect();
-                        new_blocks.push(PositionedBlock {
-                            block: Block {
-                                extent: parent_extent,
-                                members,
-                            },
-                            origin: key,
-                        });
-                        continue;
                     }
-                }
-                self.recorder.incr(counters::MERGE_CACHE_MISSES);
-                let res = merge_blocks(
-                    topo,
-                    g_node,
-                    &children,
-                    &key,
-                    &parent_extent,
-                    &MergeOptions {
-                        beam_width: cfg.beam_width,
-                        routing: cfg.routing,
-                        deadline,
-                        recorder: self.recorder.clone(),
-                        stencils: Some(Arc::clone(machine_stencils)),
-                        thread_cap: core_share,
-                    },
-                );
-                stats.merge_candidates += res.candidates_evaluated;
-                stats.merge_kept += res.candidates_kept;
-                self.recorder.gauge(&gauges::merge_mcl(sb), res.mcl);
-                if res.deadline_hit {
-                    stats.degradation.identity_merges += 1;
-                    stats.degradation.events.push(format!(
-                        "merge of {} blocks (side {sb}): deadline hit, identity composition",
-                        children.len()
-                    ));
-                }
-                if cfg.cache_subproblems {
-                    // store coords in canonical member order
-                    let coord_of: HashMap<Rank, Coord> =
-                        res.block.members.iter().cloned().collect();
-                    let coords: Vec<Coord> =
-                        canon_ids.iter().map(|id| coord_of[id]).collect();
-                    merge_cache.lock().insert(mkey, coords);
-                }
-                new_blocks.push(PositionedBlock {
-                    block: res.block,
-                    origin: key,
-                });
+                    let members = canon_ids.iter().zip(coords).map(|(&id, c)| (id, c)).collect();
+                    Block {
+                        extent: parent_extent,
+                        members,
+                    }
+                } else {
+                    merge(stats)
+                };
+                new_blocks.push(PositionedBlock { block, origin: key });
             }
             blocks = new_blocks;
             self.recorder
@@ -845,41 +837,41 @@ impl RahtmMapper {
         &self,
         cube: &Torus,
         graph: &CommGraph,
-        cache: &Mutex<HashMap<SubKey, Vec<NodeId>>>,
+        cache: &SingleFlight<SubKey, Vec<NodeId>>,
         stencils: &Arc<RouteStencilCache>,
         stats: &mut PhaseStats,
         deadline: Deadline,
         milp_threads: usize,
     ) -> Vec<NodeId> {
         let cfg = &self.config;
-        let key = sub_key(cube, graph);
-        if cfg.cache_subproblems {
-            if let Some(hit) = cache.lock().get(&key) {
-                stats.milp_cache_hits += 1;
-                self.recorder.incr(counters::SUB_CACHE_HITS);
-                return hit.clone();
+        let solve = |stats: &mut PhaseStats| {
+            self.recorder.incr(counters::SUB_CACHE_MISSES);
+            // fault injection counts actual solves (cache hits do no work)
+            let fault = cfg.fault_plan.as_ref().and_then(|p| p.check());
+            if fault == Some(Fault::WorkerPanic) {
+                panic!(
+                    "injected fault: worker panic at sub-problem {} ({} clusters)",
+                    stats.milp_solves,
+                    graph.num_ranks()
+                );
             }
-        }
-        self.recorder.incr(counters::SUB_CACHE_MISSES);
-        // fault injection counts actual solves (cache hits do no work)
-        let fault = cfg.fault_plan.as_ref().and_then(|p| p.check());
-        if fault == Some(Fault::WorkerPanic) {
-            panic!(
-                "injected fault: worker panic at sub-problem {} ({} clusters)",
-                stats.milp_solves,
-                graph.num_ranks()
-            );
-        }
-        stats.milp_solves += 1;
-        self.recorder.incr(counters::SUBPROBLEMS_SOLVED);
+            stats.milp_solves += 1;
+            self.recorder.incr(counters::SUBPROBLEMS_SOLVED);
 
-        let (placement, rung, reason) =
-            self.climb_ladder(cube, graph, stencils, stats, deadline, milp_threads, fault);
-        stats
-            .degradation
-            .record_solve(&self.recorder, rung, graph.num_ranks(), reason);
-        if cfg.cache_subproblems {
-            cache.lock().insert(key, placement.clone());
+            let (placement, rung, reason) =
+                self.climb_ladder(cube, graph, stencils, stats, deadline, milp_threads, fault);
+            stats
+                .degradation
+                .record_solve(&self.recorder, rung, graph.num_ranks(), reason);
+            placement
+        };
+        if !cfg.cache_subproblems {
+            return solve(stats);
+        }
+        let (placement, hit) = cache.get_or_compute(sub_key(cube, graph), || solve(stats));
+        if hit {
+            stats.milp_cache_hits += 1;
+            self.recorder.incr(counters::SUB_CACHE_HITS);
         }
         placement
     }

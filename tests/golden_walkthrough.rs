@@ -116,7 +116,8 @@ fn walkthrough_journal_snapshot() {
         (counters::SIMPLEX_SOLVES, 2),
         (counters::SIMPLEX_PIVOTS, 114),
         (counters::MERGE_ORIENTATIONS, 32),
-        (counters::MERGE_CANDIDATES_EVALUATED, 1088),
+        (counters::MERGE_CANDIDATES_EVALUATED, 1040),
+        (counters::MERGE_CANDIDATES_SKIPPED, 48),
         (counters::MERGE_CANDIDATES_KEPT, 192),
     ] {
         assert_eq!(
@@ -125,6 +126,14 @@ fn walkthrough_journal_snapshot() {
             "counter {name} drifted"
         );
     }
+    // step 0 scores one orientation pair per symmetry orbit and ranks the
+    // rest as images: together they are the pairs an exhaustive step 0
+    // scores
+    assert_eq!(
+        journal.counter(counters::MERGE_CANDIDATES_EVALUATED).unwrap_or(0)
+            + journal.counter(counters::MERGE_CANDIDATES_SKIPPED).unwrap_or(0),
+        1088
+    );
     // anneal totals and deadline polls are deterministic too but tied to
     // tuning constants that shift legitimately; pin presence + positivity
     for name in [
